@@ -1,12 +1,16 @@
-//! **Kernel throughput probe** — machine-readable companion to the
-//! criterion micro-benchmarks. Times the hot simulator kernels (mesh
-//! application, complex matmul, MVM multiply, GeMM streaming) and emits
-//! one unified `neuropulsim-bench/v1` report (see `bench::runner`):
-//! median-of-N timings, machine-normalized `norm` per measurement, MAC
-//! throughput in each measurement's `meta`.
+//! **Kernel throughput probe** for the photonic-core kernels behind
+//! experiments E1–E3/E5. Times the hot simulator kernels (mesh
+//! application, complex matmul, MVM multiply, GeMM streaming) and the
+//! programming path (Haar sampling, Clements decomposition, transfer
+//! matrices, SVD, Fldzhyan programming, MVM core programming, noisy
+//! PCM multiply) and emits one unified `neuropulsim-bench/v1` report
+//! (see `bench::runner`): median-of-N timings, machine-normalized
+//! `norm` per measurement, MAC throughput in each measurement's `meta`.
 //!
 //! `macs_per_op` counts real multiply–accumulates (a complex MAC is
-//! four real MACs). Iteration counts are fixed per case so runs are
+//! four real MACs); for the programming path it is the leading-order
+//! count (the Jacobi SVD counts one sweep, Fldzhyan programming the
+//! sweeps it takes). Iteration counts are fixed per case so runs are
 //! comparable across commits; the committed `BENCH_kernels.json`
 //! baseline is regenerated with
 //! `cargo run --release --bin kernel_bench > BENCH_kernels.json`, and CI
@@ -14,10 +18,14 @@
 
 use neuropulsim_bench::runner::Runner;
 use neuropulsim_core::clements::decompose;
+use neuropulsim_core::error::{HardwareModel, ShifterTech};
 use neuropulsim_core::gemm::{GemmEngine, GemmMode};
-use neuropulsim_core::mvm::MvmCore;
-use neuropulsim_linalg::random::haar_unitary;
+use neuropulsim_core::layered::{LayeredMesh, ProgramOptions};
+use neuropulsim_core::mvm::{MvmCore, MvmNoiseConfig};
+use neuropulsim_linalg::decomp::svd;
+use neuropulsim_linalg::random::{ginibre, haar_unitary};
 use neuropulsim_linalg::{CMatrix, CVector, MatmulScratch, RMatrix};
+use neuropulsim_photonics::pcm::PcmMaterial;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -153,6 +161,93 @@ fn bench_gemm(runner: &mut Runner, n: usize) {
     }
 }
 
+fn bench_unitary_programming(runner: &mut Runner, n: usize) {
+    // Element pairs touched by n(n-1)/2 rotations of two length-n rows
+    // or columns.
+    let pairs = (n * n * (n - 1) / 2) as f64;
+    let mut rng = StdRng::seed_from_u64(1);
+    let macs = (4 * n * n * n) as f64;
+    report(runner, "haar_unitary", "qr", n, macs, || {
+        std::hint::black_box(haar_unitary(&mut rng, n));
+    });
+    // Each nulling is a 2x2 complex update: 16 real MACs per pair.
+    let u = haar_unitary(&mut StdRng::seed_from_u64(2), n);
+    let macs = 16.0 * pairs;
+    report(runner, "clements_decompose", "nulling", n, macs, || {
+        std::hint::black_box(decompose(&u));
+    });
+    let program = decompose(&haar_unitary(&mut StdRng::seed_from_u64(4), n));
+    let macs = (program.block_count() * 32 * n) as f64;
+    report(runner, "mesh_transfer_matrix", "blocks", n, macs, || {
+        std::hint::black_box(program.transfer_matrix());
+    });
+    // One Jacobi sweep: per pair a 2x2 Gram (three complex dots) plus
+    // two rotations, 44 real MACs per pair.
+    let m = ginibre(&mut StdRng::seed_from_u64(5), n);
+    let macs = 44.0 * pairs;
+    report(runner, "jacobi_svd", "sweep", n, macs, || {
+        std::hint::black_box(svd(&m));
+    });
+    // SVD sweep plus the two Clements decompositions.
+    let w = random_rmatrix(n, n, 1);
+    let macs = (44.0 + 2.0 * 16.0) * pairs;
+    report(runner, "mvm_core_program", "svd_clements", n, macs, || {
+        std::hint::black_box(MvmCore::new(&w));
+    });
+}
+
+fn bench_fldzhyan_program(runner: &mut Runner, n: usize) {
+    let target = haar_unitary(&mut StdRng::seed_from_u64(6), n);
+    let program = || {
+        let mut mesh = LayeredMesh::universal(n);
+        mesh.randomize_phases(&mut StdRng::seed_from_u64(7));
+        mesh.program_unitary(
+            &target,
+            ProgramOptions {
+                max_sweeps: 50,
+                tol: 1e-10,
+            },
+        )
+    };
+    // Each sweep runs ~n coupler/phase columns over two n x n running
+    // products (forward and peel-back); the seeded run is deterministic,
+    // so its sweep count holds for every timed call.
+    let macs = (program().sweeps * 32 * n * n * n) as f64;
+    report(runner, "fldzhyan_program", "sweeps50", n, macs, || {
+        std::hint::black_box(program());
+    });
+}
+
+fn bench_noisy_multiply(runner: &mut Runner) {
+    let n = 16;
+    let core = MvmCore::new(&random_rmatrix(n, n, 3));
+    let config = MvmNoiseConfig {
+        hardware: HardwareModel::ideal().with_shifter_tech(ShifterTech::Pcm {
+            material: PcmMaterial::GeSe,
+            levels: 32,
+        }),
+        readout_sigma: 1e-3,
+        attenuator_sigma: 0.0,
+    };
+    let mut rng = StdRng::seed_from_u64(4);
+    let instance = core.realize(&config, &mut rng);
+    let x = vec![0.3; n];
+    let macs = (n * n) as f64;
+    report(runner, "mvm_multiply_noisy_pcm", "frozen", n, macs, || {
+        std::hint::black_box(instance.multiply_noisy(&x, &mut rng));
+    });
+    // A fresh instance also realizes both meshes: every shifter (two per
+    // block plus n output phases per mesh) is set from its 32-level PCM
+    // grid (one complex MAC per level), and every block is a 2x2 update
+    // of n columns; then it rebuilds the effective matrix U diag(a) V.
+    let blocks = core.block_count();
+    let shifters = 2 * blocks + 2 * n;
+    let macs = (shifters * 32 * 4 + blocks * 16 * n + 4 * n * n * n + n * n) as f64;
+    report(runner, "mvm_multiply_noisy_pcm", "fresh", n, macs, || {
+        std::hint::black_box(core.multiply_noisy(&x, &config, &mut rng));
+    });
+}
+
 fn main() {
     let mut runner = Runner::new("kernel_bench");
     for n in [16usize, 64] {
@@ -161,5 +256,12 @@ fn main() {
         bench_mvm_multiply(&mut runner, n);
         bench_gemm(&mut runner, n);
     }
+    for n in [8usize, 16, 32] {
+        bench_unitary_programming(&mut runner, n);
+    }
+    for n in [4usize, 6] {
+        bench_fldzhyan_program(&mut runner, n);
+    }
+    bench_noisy_multiply(&mut runner);
     print!("{}", runner.to_json());
 }

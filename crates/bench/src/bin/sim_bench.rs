@@ -16,6 +16,10 @@
 //! anything is timed, and timed repetitions consume *prebuilt* systems
 //! so only `System::run` sits inside the timed op.
 //!
+//! A last measurement times the bare interpreter: `Cpu::run` over a
+//! tight 50k-instruction arithmetic loop on a `FlatMemory`, no platform
+//! around it. It adds no payload entry.
+//!
 //! Deterministic facts (bit-identity, instruction/cycle counts, block
 //! and trace counters) land in `payload`; wall-clock timings land in
 //! `measurements` and the headline `speedup` in `derived`. CI's
@@ -25,7 +29,10 @@
 
 use neuropulsim_bench::runner::{positional_args, Runner};
 use neuropulsim_linalg::RMatrix;
+use neuropulsim_riscv::asm::assemble;
 use neuropulsim_riscv::block::PerfCounters;
+use neuropulsim_riscv::bus::FlatMemory;
+use neuropulsim_riscv::cpu::Cpu;
 use neuropulsim_sim::firmware::{accel_offload, cluster_offload, software_mvm, DramLayout};
 use neuropulsim_sim::system::{RunReport, System};
 
@@ -156,6 +163,31 @@ fn time_runs(runner: &mut Runner, id: &str, reps: usize, workload: Workload, mod
     })
 }
 
+/// Times `reps` runs of the bare interpreter on a 10k-iteration,
+/// five-instruction loop (50k instructions retired per run).
+fn time_interpreter(runner: &mut Runner, reps: usize) {
+    let code = assemble(
+        "
+        li a0, 10000
+        li a1, 0
+    loop:
+        addi a1, a1, 3
+        xor  a2, a1, a0
+        add  a3, a2, a1
+        addi a0, a0, -1
+        bnez a0, loop
+        ecall
+        ",
+    )
+    .expect("assembles");
+    runner.measure("rv32_interpreter_50k_insts", reps, || {
+        let mut mem = FlatMemory::new(64 * 1024);
+        mem.load_words(0, &code);
+        let mut cpu = Cpu::new(0);
+        std::hint::black_box(cpu.run(&mut mem, 10_000_000).expect("no trap"));
+    });
+}
+
 fn payload_for(name: &str, fast: &ModeRun, perf: &PerfCounters) -> String {
     format!(
         "{{\"workload\": \"{name}\", \
@@ -271,6 +303,7 @@ fn main() {
         }
         workload_payloads.push(payload_for(workload.name(), &fast, &perf));
     }
+    time_interpreter(&mut runner, reps);
 
     runner.payload(format!(
         "{{\"bit_identical\": {all_identical}, \

@@ -13,6 +13,11 @@
 //!    (`scaling_tick_cost_ratio` ≈ the event ratio, far from the dense
 //!    engine's flat 1.0).
 //!
+//! It also times the spiking substrate of experiment E6 (measurements
+//! only, no payload): Yamada RK4 integration, a full PCM synapse
+//! programming sweep, and WTA-layer presentations with and without
+//! learning and with the drive fanned out over two threads.
+//!
 //! The committed `BENCH_snn.json` baseline is regenerated with
 //! `cargo run --release --bin snn_bench > BENCH_snn.json`; CI fails on
 //! a >10% `norm` regression and re-asserts the speedup/scaling floors.
@@ -22,7 +27,11 @@
 
 use neuropulsim_bench::runner::Runner;
 use neuropulsim_linalg::parallel::{available_threads, split_seed};
+use neuropulsim_photonics::laser::{YamadaLaser, YamadaParams};
+use neuropulsim_snn::encoding::latency_encode;
+use neuropulsim_snn::network::SpikingLayer;
 use neuropulsim_snn::sparse::{DenseNet, EventNet, NetSpec};
+use neuropulsim_snn::synapse::PcmSynapse;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,6 +89,52 @@ fn check_identity(n: usize, k: usize) -> u64 {
         );
     }
     spikes
+}
+
+/// Times `iters` calls of `op` per repetition (after one warm-up call)
+/// under `id`; each case picks `iters` so a repetition lasts 10 ms or more.
+fn time_calls<F: FnMut()>(runner: &mut Runner, id: &str, iters: usize, mut op: F) {
+    op();
+    runner.measure_with_meta(id, REPS, &[("iters", format!("{iters}"))], || {
+        for _ in 0..iters {
+            op();
+        }
+    });
+}
+
+/// The E6 spiking substrate: one excitable laser, one synapse, one
+/// 9-input WTA layer.
+fn bench_substrate(runner: &mut Runner) {
+    time_calls(runner, "yamada_rk4_10k_steps", 20, || {
+        let mut laser = YamadaLaser::new(YamadaParams::default());
+        laser.perturb_gain(1.0);
+        std::hint::black_box(laser.run(200.0)); // 10k steps at dt = 0.02
+    });
+    time_calls(runner, "pcm_synapse_full_sweep", 10_000, || {
+        let mut s = PcmSynapse::new();
+        for _ in 0..15 {
+            s.depress();
+        }
+        for _ in 0..15 {
+            s.potentiate();
+        }
+        std::hint::black_box(s.weight());
+    });
+    let stimulus = latency_encode(&[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 20.0);
+    // The two-thread drive spawns its workers on every step, so one call
+    // costs ~5 ms and it gets fewer calls per repetition.
+    for (variant, learn, drive_threads, iters) in [
+        ("inference", false, 1, 5000),
+        ("learning", true, 1, 5000),
+        ("inference_par2", false, 2, 50),
+    ] {
+        let mut layer = SpikingLayer::new(9, 3, &mut StdRng::seed_from_u64(1));
+        layer.drive_threads = drive_threads;
+        let id = format!("spiking_layer_present/{variant}");
+        time_calls(runner, &id, iters, || {
+            std::hint::black_box(layer.present(&stimulus, 30.0, 0.5, learn));
+        });
+    }
 }
 
 fn main() {
@@ -204,5 +259,6 @@ fn main() {
         matched_payload.join(", "),
         ladder_payload.join(", ")
     ));
+    bench_substrate(&mut runner);
     print!("{}", runner.to_json());
 }

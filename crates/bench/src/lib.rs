@@ -2,9 +2,8 @@
 //!
 //! The experiment harness: shared table formatting and deterministic RNG
 //! plumbing for the `expt_*` binaries, each of which regenerates one of
-//! the evaluation tables indexed in `DESIGN.md` (E1–E10). Criterion
-//! micro-benchmarks of the simulator kernels live under `benches/`, and
-//! every `*_bench` probe emits the unified [`runner`] JSON schema
+//! the evaluation tables indexed in `DESIGN.md` (E1–E13). Every
+//! `*_bench` probe emits the unified [`runner`] JSON schema
 //! (median-of-N, machine-normalized) that the committed `BENCH_*.json`
 //! baselines and the CI perf-regression gate consume.
 

@@ -320,7 +320,10 @@ impl ConformanceReport {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\`
+/// gain a backslash, a newline becomes `\n`, and every other control
+/// character below U+0020 becomes `\u00XX`.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -1317,5 +1320,16 @@ pub fn run_conformance(config: &ConformanceConfig) -> ConformanceReport {
         cases_per_domain: config.cases,
         total_divergences: domains.iter().map(|d| d.divergences).sum(),
         domains,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::escape_json;
+
+    #[test]
+    fn escape_json_escapes_every_control_character() {
+        assert_eq!(escape_json("a\tb\r\u{1}"), "a\\u0009b\\u000d\\u0001");
+        assert_eq!(escape_json("\"q\"\\\n"), "\\\"q\\\"\\\\\\n");
     }
 }

@@ -2171,31 +2171,45 @@ mod tests {
                 seed: 5,
             },
         );
-        let mut srv = InferenceServer::new(
-            models.clone(),
-            &[PeSpec::new(0)],
-            ServeConfig {
-                queue_cap: 64,
-                shed_backoff: 128,
-                ..ServeConfig::default()
-            },
-        );
-        let out = srv.run(&load);
-        assert!(out.report.drops.shed > 0, "overload must shed");
-        assert_eq!(
-            out.report.completed + out.report.dropped,
-            2000,
-            "every request is accounted for"
-        );
-        assert_eq!(
-            out.report.dropped, out.report.drops.shed,
-            "overload drops are shed drops, nothing else"
-        );
-        assert!(
-            out.report.completed >= 64,
-            "admitted work completes: {}",
-            out.report.completed
-        );
+        // A one-slot queue (edge config) and a 64-slot queue, both on a
+        // single-wavelength PE.
+        for cap in [1usize, 64] {
+            let mut srv = InferenceServer::new(
+                models.clone(),
+                &[PeSpec {
+                    wdm_channels: 1,
+                    ..PeSpec::new(0)
+                }],
+                ServeConfig {
+                    queue_cap: cap,
+                    shed_backoff: 128,
+                    ..ServeConfig::default()
+                },
+            );
+            let out = srv.run(&load);
+            assert!(out.report.drops.shed > 0, "cap {cap}: overload must shed");
+            assert_eq!(
+                out.report.completed + out.report.dropped,
+                2000,
+                "cap {cap}: every request is accounted for"
+            );
+            assert_eq!(
+                out.report.dropped, out.report.drops.shed,
+                "cap {cap}: overload drops are shed drops, nothing else"
+            );
+            assert!(
+                out.report.completed >= cap,
+                "cap {cap}: admitted work completes: {}",
+                out.report.completed
+            );
+            // Every load id ends exactly once: completed or dropped.
+            let mut ended: Vec<u64> = out.responses.iter().map(|r| r.id).collect();
+            ended.extend(&out.dropped_ids);
+            ended.sort_unstable();
+            let mut ids: Vec<u64> = load.iter().map(|r| r.id).collect();
+            ids.sort_unstable();
+            assert_eq!(ended, ids, "cap {cap}: each request ends exactly once");
+        }
     }
 
     #[test]
