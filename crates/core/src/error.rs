@@ -102,6 +102,25 @@ impl HardwareModel {
         self
     }
 
+    /// `true` when [`HardwareModel::realize`] draws nothing from its RNG:
+    /// neither the phase-noise nor the coupler-imbalance sigma is
+    /// positive. Loss, thermal crosstalk and shifter quantization are
+    /// deterministic, so such a model realizes a program to the same
+    /// matrix on every call.
+    pub fn samples_nothing(&self) -> bool {
+        !self.samples_phases() && !self.samples_couplers()
+    }
+
+    /// Whether each shifter draws a Gaussian phase error.
+    fn samples_phases(&self) -> bool {
+        self.phase_noise_sigma > 0.0
+    }
+
+    /// Whether each coupler draws a Gaussian coupling-angle error.
+    fn samples_couplers(&self) -> bool {
+        self.coupler_imbalance_sigma > 0.0
+    }
+
     /// Computes per-block thermal contamination: each block's phases pick
     /// up `thermal_crosstalk` times the total heater phase of spatially
     /// neighboring blocks (same column, |mode difference| <= 2, or same
@@ -179,7 +198,7 @@ impl HardwareModel {
 
     fn noisy_phase<R: Rng + ?Sized>(&self, phase: f64, rng: &mut R) -> (f64, f64) {
         let (realized, transmission) = self.shifter_tech.realize_phase(phase);
-        let noise = if self.phase_noise_sigma > 0.0 {
+        let noise = if self.samples_phases() {
             self.phase_noise_sigma * neuropulsim_linalg::random::gaussian(rng)
         } else {
             0.0
@@ -188,7 +207,7 @@ impl HardwareModel {
     }
 
     fn noisy_coupler<R: Rng + ?Sized>(&self, rng: &mut R) -> Coupler {
-        if self.coupler_imbalance_sigma > 0.0 {
+        if self.samples_couplers() {
             Coupler::with_imbalance(
                 self.coupler_imbalance_sigma * neuropulsim_linalg::random::gaussian(rng),
             )
@@ -270,6 +289,38 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let realized = HardwareModel::ideal().realize(&p, &mut rng);
         assert!(unitary_fidelity(&u, &realized) > 1.0 - 1e-10);
+    }
+
+    #[test]
+    fn sample_free_models_draw_nothing() {
+        use rand::RngCore;
+        let (_, p) = sample_program(6, 4);
+        let pcm = ShifterTech::Pcm {
+            material: PcmMaterial::GeSe,
+            levels: 16,
+        };
+        let thermal = HardwareModel {
+            thermal_crosstalk: 0.02,
+            mzi_arm_transmission: 0.97,
+            ..HardwareModel::ideal().with_shifter_tech(ShifterTech::ThermoOptic)
+        };
+        for model in [HardwareModel::ideal().with_shifter_tech(pcm), thermal] {
+            assert!(model.samples_nothing(), "{model:?}");
+            let mut rng = StdRng::seed_from_u64(9);
+            let a = model.realize(&p, &mut rng);
+            let next = rng.next_u64();
+            assert_eq!(next, StdRng::seed_from_u64(9).next_u64(), "{model:?}");
+            assert_eq!(a, model.realize(&p, &mut rng), "{model:?}");
+        }
+        for model in [
+            HardwareModel::typical_soi(),
+            HardwareModel {
+                coupler_imbalance_sigma: 0.01,
+                ..HardwareModel::ideal()
+            },
+        ] {
+            assert!(!model.samples_nothing(), "{model:?}");
+        }
     }
 
     #[test]

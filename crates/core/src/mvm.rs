@@ -20,6 +20,7 @@ use crate::error::HardwareModel;
 use crate::program::{CompiledMesh, MeshProgram};
 use neuropulsim_linalg::decomp::svd;
 use neuropulsim_linalg::{CMatrix, CVector, RMatrix, C64};
+use std::sync::OnceLock;
 
 use rand::Rng;
 
@@ -90,6 +91,12 @@ pub struct MvmCore {
     attenuation: Vec<f64>,
     /// Overall scale `sigma_max` restoring physical magnitudes.
     scale: f64,
+    /// Both meshes realized once under the first sample-free hardware
+    /// model a `realize*` call saw, as `(model, U, V)`. Such a model
+    /// draws no RNG, so U and V are the same on every call; a drifting
+    /// device re-realizing per job then recomposes only the attenuator
+    /// column. Calls under any other model realize afresh.
+    meshes: OnceLock<(HardwareModel, CMatrix, CMatrix)>,
 }
 
 impl MvmCore {
@@ -123,7 +130,33 @@ impl MvmCore {
             v_plan,
             attenuation,
             scale,
+            meshes: OnceLock::new(),
         }
+    }
+
+    /// Realizes both meshes under `hardware` and hands `(U, V)` to
+    /// `compose`. A sample-free model equal to the cached one reuses the
+    /// cached meshes; since such a model draws nothing from `rng`, the
+    /// caller's RNG stream is the same either way.
+    fn with_meshes<R: Rng + ?Sized, T>(
+        &self,
+        hardware: &HardwareModel,
+        rng: &mut R,
+        compose: impl FnOnce(&CMatrix, &CMatrix, &mut R) -> T,
+    ) -> T {
+        if hardware.samples_nothing() {
+            let (model, u, v) = self.meshes.get_or_init(|| {
+                let u = hardware.realize(&self.u_program, rng);
+                let v = hardware.realize(&self.v_program, rng);
+                (*hardware, u, v)
+            });
+            if model == hardware {
+                return compose(u, v, rng);
+            }
+        }
+        let u = hardware.realize(&self.u_program, rng);
+        let v = hardware.realize(&self.v_program, rng);
+        compose(&u, &v, rng)
     }
 
     /// The matrix dimension `n`.
@@ -223,18 +256,19 @@ impl MvmCore {
     /// Realizes one physical instance of the core under the given noise
     /// configuration (static imperfections frozen in).
     pub fn realize<R: Rng + ?Sized>(&self, config: &MvmNoiseConfig, rng: &mut R) -> RealizedMvm {
-        let u = config.hardware.realize(&self.u_program, rng);
-        let v = config.hardware.realize(&self.v_program, rng);
-        let attenuation: Vec<f64> = self
-            .attenuation
-            .iter()
-            .map(|&a| {
-                let noisy =
-                    a * (1.0 + config.attenuator_sigma * neuropulsim_linalg::random::gaussian(rng));
-                noisy.clamp(0.0, 1.0)
-            })
-            .collect();
-        RealizedMvm::new(u, v, attenuation, self.scale, config.readout_sigma)
+        self.with_meshes(&config.hardware, rng, |u, v, rng| {
+            let attenuation: Vec<f64> = self
+                .attenuation
+                .iter()
+                .map(|&a| {
+                    let noisy = a
+                        * (1.0
+                            + config.attenuator_sigma * neuropulsim_linalg::random::gaussian(rng));
+                    noisy.clamp(0.0, 1.0)
+                })
+                .collect();
+            RealizedMvm::new(u, v, attenuation, self.scale, config.readout_sigma)
+        })
     }
 
     /// Realizes one physical instance with an **explicit** attenuator
@@ -257,10 +291,10 @@ impl MvmCore {
             self.n,
             "realize_with_attenuation: attenuator count mismatch"
         );
-        let u = config.hardware.realize(&self.u_program, rng);
-        let v = config.hardware.realize(&self.v_program, rng);
         let attenuation: Vec<f64> = attenuation.iter().map(|a| a.clamp(0.0, 1.0)).collect();
-        RealizedMvm::new(u, v, attenuation, self.scale, config.readout_sigma)
+        self.with_meshes(&config.hardware, rng, |u, v, _| {
+            RealizedMvm::new(u, v, attenuation, self.scale, config.readout_sigma)
+        })
     }
 
     /// The effective real matrix seen by a carrier whose wavelength
@@ -305,17 +339,40 @@ pub struct RealizedMvm {
 }
 
 impl RealizedMvm {
+    /// Composes `Re(U · diag(a) · V) · scale` without forming the complex
+    /// product: only the real half of each multiply-add is computed.
+    /// The operation order and the skip of zero `U·diag(a)` entries are
+    /// those of `scale_columns` followed by [`CMatrix::mul_mat`] (both
+    /// its kernels), so the result is bit-identical to that product's
+    /// real part.
     fn new(
-        mut u: CMatrix,
-        v: CMatrix,
+        u: &CMatrix,
+        v: &CMatrix,
         attenuation: Vec<f64>,
         scale: f64,
         readout_sigma: f64,
     ) -> Self {
         let n = attenuation.len();
-        scale_columns(&mut u, &attenuation);
-        let m = u.mul_mat(&v);
-        let effective = RMatrix::from_fn(n, n, |i, j| m[(i, j)].re * scale);
+        let mut effective = RMatrix::zeros(n, n);
+        for (i, row) in effective.as_mut_slice().chunks_exact_mut(n).enumerate() {
+            for ((z, &a), v_row) in u
+                .row(i)
+                .iter()
+                .zip(&attenuation)
+                .zip(v.as_slice().chunks_exact(n))
+            {
+                let (re, im) = (z.re * a, z.im * a);
+                if re == 0.0 && im == 0.0 {
+                    continue;
+                }
+                for (acc, w) in row.iter_mut().zip(v_row) {
+                    *acc += re * w.re - im * w.im;
+                }
+            }
+            for acc in row.iter_mut() {
+                *acc *= scale;
+            }
+        }
         RealizedMvm {
             attenuation,
             scale,
@@ -491,6 +548,108 @@ mod tests {
         let a = inst.multiply_noisy(&x, &mut rng);
         let b = inst.multiply_noisy(&x, &mut rng);
         assert!(mse(&a, &b) < 1e-18, "same instance, no readout noise");
+    }
+
+    /// `realize` / `realize_with_attenuation` composed the uncached way:
+    /// both meshes realized afresh from `rng`, then `scale_columns` and
+    /// a full complex [`CMatrix::mul_mat`], keeping the real part.
+    fn uncached_effective(
+        core: &MvmCore,
+        config: &MvmNoiseConfig,
+        explicit: Option<&[f64]>,
+        rng: &mut StdRng,
+    ) -> RMatrix {
+        let mut u = config.hardware.realize(core.u_program(), rng);
+        let v = config.hardware.realize(core.v_program(), rng);
+        let attenuation: Vec<f64> = match explicit {
+            Some(att) => att.iter().map(|a| a.clamp(0.0, 1.0)).collect(),
+            None => core
+                .attenuation()
+                .iter()
+                .map(|&a| {
+                    let noisy = a
+                        * (1.0
+                            + config.attenuator_sigma * neuropulsim_linalg::random::gaussian(rng));
+                    noisy.clamp(0.0, 1.0)
+                })
+                .collect(),
+        };
+        scale_columns(&mut u, &attenuation);
+        let m = u.mul_mat(&v);
+        let n = core.modes();
+        RMatrix::from_fn(n, n, |i, j| m[(i, j)].re * core.scale())
+    }
+
+    fn bits(m: &RMatrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn mesh_cache_is_bit_identical_to_fresh_realization() {
+        use crate::error::ShifterTech;
+        use neuropulsim_photonics::pcm::PcmMaterial;
+        let ideal = HardwareModel::ideal();
+        let pcm = ideal.with_shifter_tech(ShifterTech::Pcm {
+            material: PcmMaterial::GeSe,
+            levels: 64,
+        });
+        let lossy = HardwareModel {
+            mzi_arm_transmission: 0.97,
+            ..ideal
+        };
+        let thermal = HardwareModel {
+            thermal_crosstalk: 0.02,
+            ..ideal.with_shifter_tech(ShifterTech::ThermoOptic)
+        };
+        let soi = HardwareModel::typical_soi();
+        // n = 4 composes against the naive `mul_mat` kernel, n = 16
+        // against the packed one.
+        for n in [4, 16] {
+            let m = random_matrix(n, 40 + n as u64);
+            // One core sees every model in turn (ideal fills its cache,
+            // lossy bypasses it, ideal hits it again); each model also
+            // gets a core of its own, so every sample-free model is
+            // checked on cache hits.
+            let shared = MvmCore::new(&m);
+            let mut seed = 0;
+            for hardware in [ideal, lossy, ideal, pcm, thermal, soi] {
+                let own = MvmCore::new(&m);
+                for step in 0..3 {
+                    let mut drifted: Vec<f64> = shared
+                        .attenuation()
+                        .iter()
+                        .map(|a| a * (1.0 - 0.05 * step as f64))
+                        .collect();
+                    if step == 2 {
+                        // A dead attenuator exercises the zero-entry skip.
+                        drifted[n - 1] = 0.0;
+                    }
+                    let config = MvmNoiseConfig {
+                        hardware,
+                        attenuator_sigma: 0.01 * step as f64,
+                        ..MvmNoiseConfig::ideal()
+                    };
+                    for explicit in [None, Some(drifted.as_slice())] {
+                        seed += 1;
+                        let run = |core: &MvmCore| {
+                            let mut rng = StdRng::seed_from_u64(seed);
+                            let inst = match explicit {
+                                Some(att) => core.realize_with_attenuation(att, &config, &mut rng),
+                                None => core.realize(&config, &mut rng),
+                            };
+                            (bits(&inst.effective_matrix()), rng.gen::<u64>())
+                        };
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let want = bits(&uncached_effective(&shared, &config, explicit, &mut rng));
+                        let want = (want, rng.gen::<u64>());
+                        let ctx = format!("n={n} {hardware:?} step={step} explicit={explicit:?}");
+                        assert_eq!(run(&MvmCore::new(&m)), want, "fresh core, {ctx}");
+                        assert_eq!(run(&own), want, "own core, {ctx}");
+                        assert_eq!(run(&shared), want, "shared core, {ctx}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //!   interrupt-enable bit;
 //! - a [`mmr::WATCHDOG`] deadline that aborts an overdue job;
 //! - a recalibration doorbell (CTRL bit 3) that re-programs the PCM
-//!   attenuators and re-realizes the mesh, countering the drift model
-//!   ([`PcmDriftModel`]) that ages the weights with simulated time.
+//!   attenuators, countering the drift model ([`PcmDriftModel`]) that
+//!   ages the weights with simulated time. Under a hardware model that
+//!   samples nothing, the two meshes are realized once per programmed
+//!   matrix; a drifted job or a recalibration recomposes only the
+//!   attenuator column.
 
 use crate::fixed::{from_fixed, to_fixed};
 use crate::ram::Ram;
@@ -101,8 +104,12 @@ pub mod errcode {
 ///
 /// The device maps each attenuator setting `a` to a crystalline fraction
 /// `1 - a`, ages it through [`PcmCell::apply_drift`] with
-/// `nu · ln(1 + t/τ)`, and re-realizes the mesh with the drifted
-/// attenuations at every job start.
+/// `nu · ln(1 + t/τ)`, and recomposes the realized instance with the
+/// drifted attenuations at every job start. The meshes themselves are
+/// not re-realized when the hardware model samples nothing: the core
+/// keeps them from its first realization
+/// ([`MvmCore::realize_with_attenuation`]), so a job pays only for the
+/// attenuator column and one `Re(U·diag(a)·V)` product.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcmDriftModel {
     /// PCM material of the attenuator cells.

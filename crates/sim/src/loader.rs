@@ -320,7 +320,11 @@ impl SyscallShim {
                 if fd != 1 && fd != 2 {
                     return done(EBADF_RET);
                 }
-                let mut bytes = Vec::with_capacity(len as usize);
+                // `len` is guest-controlled (up to 4 GiB): reserve at
+                // most one page up front and let the buffer grow only
+                // as readable bytes arrive, so a bogus length faults
+                // after the mapped range instead of allocating it.
+                let mut bytes = Vec::with_capacity((len as usize).min(4096));
                 for k in 0..len {
                     match read_byte(buf.wrapping_add(k)) {
                         Some(b) => bytes.push(b),
@@ -908,11 +912,19 @@ mod tests {
             shim.dispatch(sysno::WRITE, [1, 0x1000, 3], &mut read).a0,
             EFAULT_RET
         );
+        // A 4 GiB length faults at the end of the mapped bytes without
+        // reserving the whole length up front.
+        assert_eq!(
+            shim.dispatch(sysno::WRITE, [1, 0x100, u32::MAX], &mut read)
+                .a0,
+            EFAULT_RET
+        );
+        assert_eq!(shim.stdout, b"hi\n", "a faulted write emits nothing");
         assert_eq!(shim.dispatch(17, [0, 0, 0], &mut read).a0, ENOSYS_RET);
 
         let exit = shim.dispatch(sysno::EXIT, [7, 0, 0], &mut read);
         assert_eq!(exit.exit, Some(7));
-        assert_eq!(shim.calls, 8);
+        assert_eq!(shim.calls, 9);
     }
 
     #[test]
