@@ -16,7 +16,10 @@
 //! It also times the spiking substrate of experiment E6 (measurements
 //! only, no payload): Yamada RK4 integration, a full PCM synapse
 //! programming sweep, and WTA-layer presentations with and without
-//! learning and with the drive fanned out over two threads.
+//! learning and with the drive fanned out over two threads. Last comes
+//! the plastic path: `snn_tick/event_stdp/n16384` times a 16384-neuron
+//! net with STDP on, and `stdp_pulses_per_tick/n16384` records the
+//! programming pulses its ticks apply.
 //!
 //! The committed `BENCH_snn.json` baseline is regenerated with
 //! `cargo run --release --bin snn_bench > BENCH_snn.json`; CI fails on
@@ -135,6 +138,40 @@ fn bench_substrate(runner: &mut Runner) {
             std::hint::black_box(layer.present(&stimulus, 30.0, 0.5, learn));
         });
     }
+}
+
+/// The STDP path: the matched-size spec with plasticity on, kicked at
+/// about 2% per tick, so every tick programs synapses.
+fn bench_stdp(runner: &mut Runner, threads: usize) {
+    const N: usize = 16_384;
+    let mut sp = spec(N);
+    sp.plastic = true;
+    let k = N / 50;
+    let sched = schedule(&sp, TICKS * (REPS + 1), k, 53);
+    let mut net = EventNet::new(&sp);
+    net.threads = threads;
+    let mut cursor = 0usize;
+    for _ in 0..TICKS {
+        net.tick(&sched[cursor % sched.len()]);
+        cursor += 1;
+    }
+    let (p0, t0) = (net.synapses().programming_pulses(), net.tick_count());
+    runner.measure_with_meta(
+        &format!("snn_tick/event_stdp/n{N}"),
+        REPS,
+        &[("ticks", format!("{TICKS}")), ("injected", format!("{k}"))],
+        || {
+            for _ in 0..TICKS {
+                net.tick(&sched[cursor % sched.len()]);
+                cursor += 1;
+            }
+        },
+    );
+    let pulses = net.synapses().programming_pulses() - p0;
+    runner.derived(
+        &format!("stdp_pulses_per_tick/n{N}"),
+        format!("{:.1}", pulses as f64 / (net.tick_count() - t0) as f64),
+    );
 }
 
 fn main() {
@@ -260,5 +297,6 @@ fn main() {
         ladder_payload.join(", ")
     ));
     bench_substrate(&mut runner);
+    bench_stdp(&mut runner, threads);
     print!("{}", runner.to_json());
 }

@@ -9,11 +9,16 @@
 //! 2. **update** — step only the candidates: each one first *lazily
 //!    catches up* the leak/refractory ticks it slept through, then
 //!    integrates this tick's drive; the ones that cross threshold form
-//!    the tick's *fire queue* (sorted by index — the canonical order);
+//!    the tick's *fire queue*, sorted by index (the canonical order).
+//!    A candidate's update touches only its own state, so the order
+//!    candidates are stepped in cannot matter: a cache-sized range
+//!    steps them in first-touch order and sorts only the fire queue, a
+//!    wider one sorts them for memory locality (see `tick_range`);
 //! 3. **plasticity** — pairwise STDP on the touched synapses only,
 //!    driven by the *fire ledger* (last-fire times): potentiation over
 //!    each firing neuron's incoming edges, depression over its outgoing
-//!    edges, quantized to PCM programming pulses;
+//!    edges, quantized to PCM programming pulses read from per-lag
+//!    tables of the STDP window;
 //! 4. **ledger** — record the queue's fire times and swap it in as the
 //!    next tick's propagation source.
 //!
@@ -29,11 +34,12 @@
 //! target ranges, every worker walks the fire queue in the same sorted
 //! order, and each target's drive therefore accumulates in ascending
 //! source order regardless of the partition — the same order the dense
-//! baseline uses.
+//! baseline uses. A tick with less work than [`PARALLEL_GRAIN`] runs on
+//! one thread, since spawning workers would cost more than it saves.
 //!
 //! [`DenseNet`] is the matched O(N·M) baseline: same spec, same
-//! semantics, eager leak and a dense weight matrix — the engine the
-//! ISSUE's speedup numbers are measured against.
+//! semantics, eager leak and a dense weight matrix — the engine
+//! `snn_bench` measures the event engine's speedup against.
 
 use crate::neuron::lif_update;
 use crate::stdp::StdpRule;
@@ -157,20 +163,62 @@ pub struct SynapseArray {
     offsets: Vec<u32>,
     /// Target neuron per edge, ascending within each row.
     targets: Vec<u32>,
-    /// Quantized PCM level per edge (0 = strongest weight).
-    levels: Vec<u8>,
-    /// Cached weight per edge (`table.weight(level)`, or a drifted
-    /// value until the edge is next reprogrammed).
-    weights: Vec<f64>,
     /// CSC column offsets by target.
     in_offsets: Vec<u32>,
     /// Source neuron per incoming edge, ascending within each column.
     in_sources: Vec<u32>,
     /// CSR edge index of each incoming edge.
     in_edges: Vec<u32>,
+    /// The writable half, a field of its own so plasticity can read the
+    /// CSR/CSC topology while it programs edges.
+    state: EdgeState,
+}
+
+/// Per-edge PCM state of a [`SynapseArray`] and its programming-cost
+/// ledger.
+#[derive(Debug, Clone, PartialEq)]
+struct EdgeState {
+    /// Quantized PCM level per edge (0 = strongest weight).
+    levels: Vec<u8>,
+    /// Cached weight per edge (`table.weight(level)`, or a drifted
+    /// value until the edge is next reprogrammed).
+    weights: Vec<f64>,
     table: PcmWeightTable,
     programming_energy: f64,
     programming_pulses: u64,
+}
+
+impl EdgeState {
+    /// See [`SynapseArray::apply_steps`]. The walk is clamped to the
+    /// reachable levels up front; costs are still added one level at a
+    /// time, in walk order, so the `f64` energy sum is the one a
+    /// pulse-by-pulse walk produces.
+    #[inline]
+    fn apply_steps(&mut self, e: usize, steps: i32) {
+        if steps == 0 {
+            return;
+        }
+        let from = self.levels[e] as usize;
+        let span = steps.unsigned_abs() as usize;
+        let table = &self.table;
+        let to = if steps > 0 {
+            let to = from.saturating_sub(span);
+            for l in (to + 1..=from).rev() {
+                self.programming_energy += table.potentiate_energy[l];
+                self.programming_pulses += table.potentiate_pulses[l];
+            }
+            to
+        } else {
+            let to = from.saturating_add(span).min(table.levels as usize - 1);
+            for l in from..to {
+                self.programming_energy += table.depress_energy[l];
+                self.programming_pulses += table.depress_pulses[l];
+            }
+            to
+        };
+        self.levels[e] = to as u8;
+        self.weights[e] = table.weights[to];
+    }
 }
 
 impl SynapseArray {
@@ -246,14 +294,16 @@ impl SynapseArray {
             neurons,
             offsets,
             targets,
-            levels,
-            weights,
             in_offsets,
             in_sources,
             in_edges,
-            table,
-            programming_energy: 0.0,
-            programming_pulses: 0,
+            state: EdgeState {
+                levels,
+                weights,
+                table,
+                programming_energy: 0.0,
+                programming_pulses: 0,
+            },
         }
     }
 
@@ -272,7 +322,7 @@ impl SynapseArray {
     pub fn row(&self, source: u32) -> (&[u32], &[f64]) {
         let a = self.offsets[source as usize] as usize;
         let b = self.offsets[source as usize + 1] as usize;
-        (&self.targets[a..b], &self.weights[a..b])
+        (&self.targets[a..b], &self.state.weights[a..b])
     }
 
     /// Incoming column of `target`: `(sources, edge indices)`, sources
@@ -285,78 +335,56 @@ impl SynapseArray {
 
     /// Current weight of edge `e`.
     pub fn weight(&self, e: u32) -> f64 {
-        self.weights[e as usize]
+        self.state.weights[e as usize]
     }
 
     /// Current level of edge `e`.
     pub fn level(&self, e: u32) -> u8 {
-        self.levels[e as usize]
+        self.state.levels[e as usize]
     }
 
     /// All cached edge weights, CSR order.
     pub fn weights_flat(&self) -> &[f64] {
-        &self.weights
+        &self.state.weights
     }
 
     /// All edge levels, CSR order.
     pub fn levels_flat(&self) -> &[u8] {
-        &self.levels
+        &self.state.levels
     }
 
     /// The shared weight table.
     pub fn table(&self) -> &PcmWeightTable {
-        &self.table
+        &self.state.table
     }
 
     /// Total programming energy spent on plasticity so far \[J\].
     pub fn programming_energy(&self) -> f64 {
-        self.programming_energy
+        self.state.programming_energy
     }
 
     /// Total programming pulses applied so far.
     pub fn programming_pulses(&self) -> u64 {
-        self.programming_pulses
+        self.state.programming_pulses
     }
 
     /// Applies `steps` signed plasticity steps to edge `e` (positive
-    /// potentiates, matching [`PcmSynapse::apply_steps`]), walking one
-    /// level at a time so saturation and per-step programming costs
-    /// match the cell model exactly. Reprogramming snaps a drifted
-    /// weight back onto the quantized grid.
+    /// potentiates, matching [`PcmSynapse::apply_steps`]): the level
+    /// saturates at either end, and each level crossed is charged its
+    /// per-transition programming cost, so both match the cell model
+    /// exactly. Reprogramming snaps a drifted weight back onto the
+    /// quantized grid.
     pub fn apply_steps(&mut self, e: u32, steps: i32) {
-        if steps == 0 {
-            return;
-        }
-        let e = e as usize;
-        let mut level = self.levels[e];
-        let max_level = (self.table.levels - 1) as u8;
-        for _ in 0..steps.unsigned_abs() {
-            if steps > 0 {
-                if level == 0 {
-                    break;
-                }
-                level -= 1;
-                self.programming_energy += self.table.potentiate_energy[level as usize + 1];
-                self.programming_pulses += self.table.potentiate_pulses[level as usize + 1];
-            } else {
-                if level == max_level {
-                    break;
-                }
-                self.programming_energy += self.table.depress_energy[level as usize];
-                self.programming_pulses += self.table.depress_pulses[level as usize];
-                level += 1;
-            }
-        }
-        self.levels[e] = level;
-        self.weights[e] = self.table.weights[level as usize];
+        self.state.apply_steps(e as usize, steps);
     }
 
     /// Applies retention drift to every synapse at once: each edge's
     /// cached weight moves to its level's drifted value (the per-level
     /// cells age identically) until the edge is next reprogrammed.
     pub fn apply_drift(&mut self, elapsed_s: f64, nu: f64) {
-        let drifted = self.table.drifted_weights(elapsed_s, nu);
-        for (w, &l) in self.weights.iter_mut().zip(&self.levels) {
+        let state = &mut self.state;
+        let drifted = state.table.drifted_weights(elapsed_s, nu);
+        for (w, &l) in state.weights.iter_mut().zip(&state.levels) {
             *w = drifted[l as usize];
         }
     }
@@ -448,6 +476,111 @@ impl NetSpec {
     }
 }
 
+/// Longest lag table a [`StdpWindow`] builds. A window still open at
+/// the cap (`tau / dt` in the tens of thousands) computes the lags past
+/// it directly, so table memory stays bounded for any rule.
+const STDP_TABLE_CAP: usize = 1 << 16;
+
+/// One branch of the STDP window, tabulated by whole-tick lag.
+#[derive(Debug, Clone, PartialEq)]
+struct LagTable {
+    /// Step count per lag, from lag 0 to the table's end.
+    steps: Vec<i32>,
+    /// The window had not closed at [`STDP_TABLE_CAP`], so lags past
+    /// the end are not all 0.
+    capped: bool,
+}
+
+impl LagTable {
+    /// Tabulates `rule.steps(shift(lag), levels)` from lag 0 until the
+    /// window closes: the first lag `L >= 1` whose step count is 0 with
+    /// `|delta_w| / step < 0.25`. A window that decays (`tau > 0`)
+    /// rounds to 0 at every later lag as well; the 0.25 margin keeps a
+    /// last-ulp error of `exp` from flipping that rounding. A window
+    /// that does not decay is tabulated up to the cap.
+    fn new(rule: &StdpRule, levels: u32, decays: bool, shift: impl Fn(usize) -> f64) -> Self {
+        let step = 1.0 / (levels.max(2) - 1) as f64;
+        let mut steps = vec![0];
+        for lag in 1..STDP_TABLE_CAP {
+            let delta = shift(lag);
+            let s = rule.steps(delta, levels);
+            if decays && s == 0 && (rule.delta_w(delta) / step).abs() < 0.25 {
+                return LagTable {
+                    steps,
+                    capped: false,
+                };
+            }
+            steps.push(s);
+        }
+        LagTable {
+            steps,
+            capped: true,
+        }
+    }
+
+    /// The step count at `lag`; `direct` computes it past a capped end.
+    #[inline]
+    fn get(&self, lag: usize, direct: impl FnOnce() -> i32) -> i32 {
+        match self.steps.get(lag) {
+            Some(&s) => s,
+            None if self.capped => direct(),
+            None => 0,
+        }
+    }
+}
+
+/// A net's STDP window as lookup tables over the tick lag between two
+/// spikes.
+///
+/// Spikes land on whole ticks, so a pair's shift is `±lag · dt` with
+/// `lag = t − t_pre` an integer (for `u32` ticks, `(t − t_pre) · dt` in
+/// `f64` is exactly `lag as f64 · dt`), and [`StdpRule::steps`] is a
+/// function of `lag` alone. [`StdpWindow::new`] calls it once per lag
+/// for each branch (see [`LagTable::new`] for where a table ends), so a
+/// lookup returns exactly the step count a per-pair call would, with
+/// no `exp` and no division per pair.
+#[derive(Debug, Clone, PartialEq)]
+struct StdpWindow {
+    rule: StdpRule,
+    dt: f64,
+    levels: u32,
+    /// `rule.steps(lag · dt, levels)`: pre fired `lag` ticks before post.
+    potentiate: LagTable,
+    /// `rule.steps(−lag · dt, levels)`: post fired `lag` ticks before pre.
+    depress: LagTable,
+}
+
+impl StdpWindow {
+    fn new(rule: StdpRule, dt: f64, levels: u32) -> Self {
+        StdpWindow {
+            rule,
+            dt,
+            levels,
+            potentiate: LagTable::new(&rule, levels, dt > 0.0 && rule.tau_plus > 0.0, |lag| {
+                lag as f64 * dt
+            }),
+            depress: LagTable::new(&rule, levels, dt > 0.0 && rule.tau_minus > 0.0, |lag| {
+                -(lag as f64) * dt
+            }),
+        }
+    }
+
+    /// Steps for a causal pair `lag` ticks apart.
+    #[inline]
+    fn potentiation(&self, lag: usize) -> i32 {
+        self.potentiate
+            .get(lag, || self.rule.steps(lag as f64 * self.dt, self.levels))
+    }
+
+    /// Steps for an anti-causal pair `lag` ticks apart.
+    #[inline]
+    fn depression(&self, lag: usize) -> i32 {
+        self.depress.get(lag, || {
+            self.rule.steps(-(lag as f64) * self.dt, self.levels)
+        })
+    }
+}
+
 /// Pairwise STDP over the touched synapses of one tick's fire queue,
 /// shared verbatim by [`EventNet`] and [`DenseNet`].
 ///
@@ -458,32 +591,31 @@ impl NetSpec {
 /// whose target has fired pairs `(t_post - t)`. The fire ledger is
 /// updated only after both phases, so same-tick spikes pair against
 /// strictly earlier partners.
+///
+/// Step counts come from the [`StdpWindow`] lag tables, not from a
+/// per-pair `exp`: a lag past a table's end gives 0, or, if the window
+/// was still open at [`STDP_TABLE_CAP`], a direct [`StdpRule::steps`]
+/// call. Edges are programmed in place while the CSR/CSC topology is
+/// read, with no per-neuron buffer.
 fn stdp_tick(
     syn: &mut SynapseArray,
     fired: &[u32],
     last_fire: &[i64],
     t: u32,
-    dt: f64,
-    rule: &StdpRule,
+    window: &StdpWindow,
 ) {
-    let levels = syn.table().levels();
+    let lag = |tp: i64| (i64::from(t) - tp) as usize;
     for &n in fired {
-        let (sources, edges) = syn.incoming(n);
-        // Split borrows: collect the (edge, steps) pairs before the
-        // mutable apply; columns are short (fan-in) so this stays cheap.
-        let pending: Vec<(u32, i32)> = sources
-            .iter()
-            .zip(edges)
-            .filter_map(|(&i, &e)| {
-                let tp = last_fire[i as usize];
-                (tp >= 0).then(|| {
-                    let delta = (t as f64 - tp as f64) * dt;
-                    (e, rule.steps(delta, levels))
-                })
-            })
-            .collect();
-        for (e, steps) in pending {
-            syn.apply_steps(e, steps);
+        let (a, b) = (
+            syn.in_offsets[n as usize] as usize,
+            syn.in_offsets[n as usize + 1] as usize,
+        );
+        for k in a..b {
+            let tp = last_fire[syn.in_sources[k] as usize];
+            if tp >= 0 {
+                let steps = window.potentiation(lag(tp));
+                syn.state.apply_steps(syn.in_edges[k] as usize, steps);
+            }
         }
     }
     for &n in fired {
@@ -492,14 +624,31 @@ fn stdp_tick(
             syn.offsets[n as usize + 1] as usize,
         );
         for e in a..b {
-            let j = syn.targets[e];
-            let tp = last_fire[j as usize];
+            let tp = last_fire[syn.targets[e] as usize];
             if tp >= 0 {
-                let delta = (tp as f64 - t as f64) * dt;
-                let steps = rule.steps(delta, levels);
-                syn.apply_steps(e as u32, steps);
+                syn.state.apply_steps(e, window.depression(lag(tp)));
             }
         }
+    }
+}
+
+/// Least work per tick (synaptic events to deliver plus injections)
+/// for which [`EventNet::tick`] fans out over worker threads. Below it,
+/// spawning the scoped workers costs more than the tick itself. On a
+/// 2-vCPU x86-64 host, with fan-out 16, two threads ran 10 ticks 4.9x
+/// slower than one at 1024 neurons with 2% kicks (about 320 work per
+/// tick) and 2.1x slower at 4096 (about 1300), broke even near 2000 to
+/// 4000 work at 16384 neurons, and ran 1.5x faster at 262144 neurons
+/// with 0.5% kicks (about 22000).
+pub const PARALLEL_GRAIN: usize = 4096;
+
+/// Rejects an injection schedule that names a neuron outside `0..neurons`.
+fn check_injections(injections: &[(u32, f64)], neurons: usize) {
+    for &(j, _) in injections {
+        assert!(
+            (j as usize) < neurons,
+            "injection into neuron {j} out of range for {neurons} neurons"
+        );
     }
 }
 
@@ -542,10 +691,11 @@ pub struct EventNet {
     threshold: f64,
     refractory: f64,
     dt: f64,
-    rule: StdpRule,
+    window: StdpWindow,
     plastic: bool,
     /// Worker count for propagation + candidate update (1 = serial).
-    /// Any value yields bit-identical results.
+    /// Any value yields bit-identical results. A tick with less work
+    /// than [`PARALLEL_GRAIN`] runs serially whatever the count.
     pub threads: usize,
     syn: SynapseArray,
     v: Vec<f64>,
@@ -575,8 +725,24 @@ struct RangeView<'a> {
     stamp: &'a mut [u32],
 }
 
+/// Widest target range whose candidates [`tick_range`] steps in
+/// first-touch order. A wider range's neuron state (32 bytes a neuron)
+/// outgrows the caches, and stepping its candidates in ascending index
+/// order, which the prefetcher can follow, repays the sort. On a 2-vCPU
+/// x86-64 host at 0.5% and 2% kicks, first-touch order took 0.81–0.89x
+/// the sorted time at 16384 and 65536 neurons but 1.05–1.35x at 262144
+/// and 1.55–1.71x at 1048576.
+const FIRST_TOUCH_RANGE: usize = 1 << 17;
+
 /// Propagate + update for one target range. Returns the sorted fired
 /// list for the range and its activity counters.
+///
+/// In a range of at most [`FIRST_TOUCH_RANGE`] neurons, candidates are
+/// stepped in the order propagation first touched them, and only the
+/// fire queue is sorted — a few hundred neurons against thousands of
+/// candidates. A wider range sorts its candidates first, for memory
+/// locality. Either order gives the same results: each candidate's
+/// update reads and writes only its own state.
 #[allow(clippy::too_many_arguments)]
 fn tick_range(
     view: &mut RangeView<'_>,
@@ -625,7 +791,9 @@ fn tick_range(
         view.drive[jl] += amount;
     }
     // 3. Candidate update: lazy catch-up, then the driven step.
-    touched.sort_unstable();
+    if hi - lo > FIRST_TOUCH_RANGE {
+        touched.sort_unstable();
+    }
     let mut fired = Vec::new();
     for &ju in &touched {
         let jl = ju as usize - lo;
@@ -663,6 +831,7 @@ fn tick_range(
             fired.push(ju);
         }
     }
+    fired.sort_unstable();
     stats.fired = fired.len() as u64;
     (fired, stats)
 }
@@ -679,7 +848,7 @@ impl EventNet {
             threshold: spec.threshold,
             refractory: spec.refractory,
             dt: spec.dt,
-            rule: spec.rule,
+            window: StdpWindow::new(spec.rule, spec.dt, spec.levels),
             plastic: spec.plastic,
             threads: 1,
             syn,
@@ -742,14 +911,43 @@ impl EventNet {
         &self.v
     }
 
+    /// Worker count for the next tick: [`EventNet::threads`], or 1 when
+    /// the tick's work — the synaptic events of last tick's fire queue
+    /// (its CSR row lengths, read in `O(fired)`) plus the injections —
+    /// is below [`PARALLEL_GRAIN`].
+    fn workers_for(&self, injections: &[(u32, f64)]) -> usize {
+        let workers = self.threads.max(1).min(self.v.len());
+        if workers <= 1 {
+            return 1;
+        }
+        let offsets = &self.syn.offsets;
+        let events: usize = self
+            .fired_prev
+            .iter()
+            .map(|&s| (offsets[s as usize + 1] - offsets[s as usize]) as usize)
+            .sum();
+        if events + injections.len() < PARALLEL_GRAIN {
+            1
+        } else {
+            workers
+        }
+    }
+
     /// Advances one tick: propagates last tick's fire queue through the
     /// CSR rows, integrates external `injections` (pairs of neuron
     /// index and drive), steps the candidates and applies STDP. Returns
     /// the neurons that fired this tick, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `injection into neuron {j} out of range for {n}
+    /// neurons` if an injection names a neuron `j >= n`, before any
+    /// state changes.
     pub fn tick(&mut self, injections: &[(u32, f64)]) -> &[u32] {
+        check_injections(injections, self.v.len());
         let t = self.tick;
         let n = self.v.len();
-        let workers = self.threads.max(1).min(n);
+        let workers = self.workers_for(injections);
         let mut fired: Vec<u32>;
         let mut stats = TickStats::default();
         if workers <= 1 {
@@ -841,14 +1039,7 @@ impl EventNet {
         }
         // 4. Plasticity on the touched synapses, then the ledger.
         if self.plastic && !fired.is_empty() {
-            stdp_tick(
-                &mut self.syn,
-                &fired,
-                &self.last_fire,
-                t,
-                self.dt,
-                &self.rule,
-            );
+            stdp_tick(&mut self.syn, &fired, &self.last_fire, t, &self.window);
         }
         for &j in &fired {
             self.last_fire[j as usize] = t as i64;
@@ -899,7 +1090,7 @@ pub struct DenseNet {
     threshold: f64,
     refractory: f64,
     dt: f64,
-    rule: StdpRule,
+    window: StdpWindow,
     plastic: bool,
     syn: SynapseArray,
     /// Source-major dense weights: `w_dense[src * n + tgt]`.
@@ -933,7 +1124,7 @@ impl DenseNet {
             threshold: spec.threshold,
             refractory: spec.refractory,
             dt: spec.dt,
-            rule: spec.rule,
+            window: StdpWindow::new(spec.rule, spec.dt, spec.levels),
             plastic: spec.plastic,
             syn,
             w_dense,
@@ -970,7 +1161,13 @@ impl DenseNet {
 
     /// Advances one tick with the dense `O(N * M)` sweep. Returns the
     /// fired neurons, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`EventNet::tick`] on an out-of-range injection,
+    /// before any state changes.
     pub fn tick(&mut self, injections: &[(u32, f64)]) -> &[u32] {
+        check_injections(injections, self.v.len());
         let t = self.tick;
         let n = self.v.len();
         // Propagation: every dense row, every tick.
@@ -1002,14 +1199,7 @@ impl DenseNet {
             }
         }
         if self.plastic && !fired.is_empty() {
-            stdp_tick(
-                &mut self.syn,
-                &fired,
-                &self.last_fire,
-                t,
-                self.dt,
-                &self.rule,
-            );
+            stdp_tick(&mut self.syn, &fired, &self.last_fire, t, &self.window);
             // Mirror the touched rows/columns back into the dense matrix.
             for &m in &fired {
                 let (sources, edges) = self.syn.incoming(m);
@@ -1226,5 +1416,262 @@ mod tests {
         assert_eq!(a, b);
         let c = NetSpec::random(6, 40, 6, 16, true);
         assert_ne!(a.edges, c.edges);
+    }
+
+    /// A plastic-burst schedule on a wide net: `k` kicks per tick.
+    fn kick_schedule(spec: &NetSpec, ticks: usize, k: usize, seed: u64) -> Vec<Vec<(u32, f64)>> {
+        let kick = 1.5 * spec.threshold / spec.dt;
+        (0..ticks)
+            .map(|t| {
+                let mut rng = StdRng::seed_from_u64(split_seed(seed, t as u64));
+                (0..k)
+                    .map(|_| (rng.gen_range(0..spec.neurons as u32), kick))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every lag up to 10 000 past a table's end, both branches.
+    fn assert_window_matches_rule(rule: StdpRule, dt: f64, levels: u32) {
+        let w = StdpWindow::new(rule, dt, levels);
+        for lag in 0..w.potentiate.steps.len() + 10_000 {
+            assert_eq!(
+                w.potentiation(lag),
+                rule.steps(lag as f64 * dt, levels),
+                "potentiation lag {lag} ({rule:?}, dt {dt}, levels {levels})"
+            );
+        }
+        for lag in 0..w.depress.steps.len() + 10_000 {
+            assert_eq!(
+                w.depression(lag),
+                rule.steps(-(lag as f64) * dt, levels),
+                "depression lag {lag} ({rule:?}, dt {dt}, levels {levels})"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn stdp_lag_tables_equal_rule_steps(
+            a_plus in 0.01f64..2.0,
+            a_minus in 0.01f64..2.0,
+            tau_plus in 1.0f64..100.0,
+            tau_minus in 1.0f64..100.0,
+            dt in 0.01f64..2.0,
+            levels in 2u32..257,
+        ) {
+            let rule = StdpRule::new(a_plus, a_minus, tau_plus, tau_minus);
+            assert_window_matches_rule(rule, dt, levels);
+        }
+    }
+
+    #[test]
+    fn stdp_window_past_the_cap_calls_the_rule() {
+        // tau / dt = 1e6: still far from closed at the cap.
+        let rule = StdpRule::new(0.5, 0.6, 1e6, 2e6);
+        let w = StdpWindow::new(rule, 1.0, 64);
+        assert!(w.potentiate.capped && w.depress.capped);
+        assert_eq!(w.potentiate.steps.len(), STDP_TABLE_CAP);
+        assert_window_matches_rule(rule, 1.0, 64);
+        for lag in [1usize << 20, u32::MAX as usize] {
+            assert_eq!(w.potentiation(lag), rule.steps(lag as f64, 64));
+            assert_eq!(w.depression(lag), rule.steps(-(lag as f64), 64));
+        }
+        // The default window closes after about a hundred ticks.
+        let w = StdpWindow::new(StdpRule::default(), 0.5, 16);
+        assert!(!w.potentiate.capped && !w.depress.capped);
+        assert!(w.potentiate.steps.len() < 200 && w.depress.steps.len() < 200);
+    }
+
+    #[test]
+    fn clamped_level_walk_matches_pulse_by_pulse() {
+        let table = PcmWeightTable::new(PcmMaterial::Gst225, 16);
+        let edges = [(0u32, 1u32)];
+        let mut whole = SynapseArray::new(2, &edges, &[5], table);
+        let mut pulses = whole.clone();
+        for steps in [-3, 2, -20, 40, 1, 0, -7, i32::MIN, i32::MAX, -1] {
+            whole.apply_steps(0, steps);
+            for _ in 0..steps.unsigned_abs().min(300) {
+                pulses.apply_steps(0, steps.signum());
+            }
+            assert_eq!(whole.level(0), pulses.level(0), "steps {steps}");
+            assert_eq!(whole.weight(0).to_bits(), pulses.weight(0).to_bits());
+            assert_eq!(
+                whole.programming_energy().to_bits(),
+                pulses.programming_energy().to_bits(),
+                "steps {steps}"
+            );
+            assert_eq!(whole.programming_pulses(), pulses.programming_pulses());
+        }
+    }
+
+    /// The STDP pass with a `rule.steps` call per pair and the
+    /// canonical two-phase order, over the public synapse API.
+    fn reference_stdp(
+        syn: &mut SynapseArray,
+        fired: &[u32],
+        ledger: &[i64],
+        t: u32,
+        dt: f64,
+        rule: &StdpRule,
+    ) {
+        let levels = syn.table().levels();
+        for &n in fired {
+            let (sources, edges) = syn.incoming(n);
+            let pairs: Vec<(u32, i32)> = sources
+                .iter()
+                .zip(edges)
+                .filter(|&(&i, _)| ledger[i as usize] >= 0)
+                .map(|(&i, &e)| {
+                    let delta = (t as f64 - ledger[i as usize] as f64) * dt;
+                    (e, rule.steps(delta, levels))
+                })
+                .collect();
+            for (e, steps) in pairs {
+                syn.apply_steps(e, steps);
+            }
+        }
+        for &n in fired {
+            let first = syn.offsets[n as usize];
+            let targets = syn.row(n).0.to_vec();
+            for (k, j) in targets.into_iter().enumerate() {
+                let tp = ledger[j as usize];
+                if tp >= 0 {
+                    let delta = (tp as f64 - t as f64) * dt;
+                    syn.apply_steps(first + k as u32, rule.steps(delta, levels));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plastic_event_net_matches_per_pair_reference() {
+        let mut spec = tiny_spec(true);
+        // Short, asymmetric windows, so pairs fall past both tables'
+        // ends, and amplitudes that saturate levels.
+        spec.rule = StdpRule::new(0.5, 0.6, 3.0, 5.0);
+        let schedule = schedule(&spec, 200, 17);
+        let mut net = EventNet::new(&spec);
+        let mut syn = net.synapses().clone();
+        let mut ledger = vec![-1i64; spec.neurons];
+        for (t, inj) in schedule.iter().enumerate() {
+            let fired = net.tick(inj).to_vec();
+            reference_stdp(&mut syn, &fired, &ledger, t as u32, spec.dt, &spec.rule);
+            for &j in &fired {
+                ledger[j as usize] = t as i64;
+            }
+            assert_eq!(net.synapses().levels_flat(), syn.levels_flat(), "tick {t}");
+        }
+        let got = net.synapses();
+        assert_eq!(net.fire_ledger(), &ledger[..]);
+        for e in 0..got.edge_count() as u32 {
+            assert_eq!(got.weight(e).to_bits(), syn.weight(e).to_bits(), "edge {e}");
+        }
+        assert!(
+            syn.programming_pulses() > 0,
+            "schedule must elicit plasticity"
+        );
+        assert_eq!(
+            got.programming_energy().to_bits(),
+            syn.programming_energy().to_bits()
+        );
+        assert_eq!(got.programming_pulses(), syn.programming_pulses());
+    }
+
+    #[test]
+    fn parallel_ticks_above_the_grain_match_serial() {
+        let mut spec = NetSpec::random(21, 4096, 16, 16, true);
+        spec.threshold = 4.0;
+        let schedule = kick_schedule(&spec, 30, 320, 5);
+        let run = |threads: usize| {
+            let mut net = EventNet::new(&spec);
+            net.threads = threads;
+            let mut raster = Vec::new();
+            let mut parallel_ticks = 0;
+            for inj in &schedule {
+                parallel_ticks += usize::from(net.workers_for(inj) > 1);
+                raster.push(net.tick(inj).to_vec());
+            }
+            net.flush();
+            let syn = net.synapses();
+            let state = (
+                raster,
+                net.potentials()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                syn.levels_flat().to_vec(),
+                syn.weights_flat()
+                    .iter()
+                    .map(|w| w.to_bits())
+                    .collect::<Vec<_>>(),
+                syn.programming_energy().to_bits(),
+                syn.programming_pulses(),
+            );
+            (state, parallel_ticks)
+        };
+        let (reference, serial_ticks) = run(1);
+        assert_eq!(serial_ticks, 0);
+        for threads in [2, 3] {
+            let (state, parallel_ticks) = run(threads);
+            assert!(
+                parallel_ticks >= schedule.len() / 2,
+                "only {parallel_ticks} ticks fanned out at {threads} threads"
+            );
+            assert_eq!(state, reference, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn sorted_and_first_touch_candidate_orders_agree() {
+        // One serial range wider than FIRST_TOUCH_RANGE (sorted
+        // candidates) against two half ranges that step theirs in
+        // first-touch order.
+        let n = FIRST_TOUCH_RANGE + 4096;
+        let mut spec = NetSpec::random(8, n, 4, 16, true);
+        spec.threshold = 4.0;
+        let schedule = kick_schedule(&spec, 8, 6000, 9);
+        let run = |threads: usize| {
+            let mut net = EventNet::new(&spec);
+            net.threads = threads;
+            let raster: Vec<Vec<u32>> = schedule.iter().map(|inj| net.tick(inj).to_vec()).collect();
+            net.flush();
+            let bits: Vec<u64> = net.potentials().iter().map(|v| v.to_bits()).collect();
+            (raster, bits, net.synapses().levels_flat().to_vec())
+        };
+        assert_eq!(run(2), run(1));
+    }
+
+    #[test]
+    fn tiny_ticks_stay_serial() {
+        let spec = tiny_spec(true);
+        let mut net = EventNet::new(&spec);
+        net.threads = 8;
+        for inj in &schedule(&spec, 20, 2) {
+            assert_eq!(net.workers_for(inj), 1);
+            net.tick(inj);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "injection into neuron 24 out of range for 24 neurons")]
+    fn event_net_rejects_out_of_range_injection() {
+        let mut net = EventNet::new(&tiny_spec(false));
+        net.tick(&[(3, 1.0), (24, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "injection into neuron 99 out of range for 24 neurons")]
+    fn threaded_event_net_rejects_out_of_range_injection() {
+        let mut net = EventNet::new(&tiny_spec(false));
+        net.threads = 3;
+        net.tick(&[(99, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "injection into neuron 24 out of range for 24 neurons")]
+    fn dense_net_rejects_out_of_range_injection() {
+        let mut net = DenseNet::new(&tiny_spec(false));
+        net.tick(&[(24, 1.0)]);
     }
 }
