@@ -9,8 +9,8 @@
 //! Exits nonzero if any matrix case or any binary diverges, so CI
 //! fails on the report it just uploaded.
 
-use neuropulsim_oracle::harness::escape_json;
 use neuropulsim_oracle::rv32_matrix::{lockstep_elf, run_matrix};
+use neuropulsim_sim::json::{Json, Layout};
 use neuropulsim_sim::loader::workloads;
 use neuropulsim_sim::system::System;
 
@@ -129,40 +129,29 @@ fn main() {
         ),
     ];
 
-    let matrix_failures: Vec<String> = matrix
-        .failures
-        .iter()
-        .map(|f| format!("\"{}\"", escape_json(f)))
-        .collect();
-    let binary_json: Vec<String> = binaries
-        .iter()
-        .map(|b| {
-            format!(
-                "{{\"name\": \"{}\", \"ok\": {}, \"instructions\": {}, \
-                 \"syscalls\": {}, \"block_conflict_evictions\": {}, \
-                 \"trace_conflict_evictions\": {}, \"detail\": \"{}\"}}",
-                b.name,
-                b.ok,
-                b.instructions,
-                b.syscalls,
-                b.block_conflict_evictions,
-                b.trace_conflict_evictions,
-                escape_json(&b.detail)
-            )
-        })
-        .collect();
+    let binary_json = binaries.iter().map(|b| {
+        Json::object(Layout::Compact)
+            .field("name", b.name)
+            .field("ok", b.ok)
+            .field("instructions", b.instructions)
+            .field("syscalls", b.syscalls)
+            .field("block_conflict_evictions", b.block_conflict_evictions)
+            .field("trace_conflict_evictions", b.trace_conflict_evictions)
+            .field("detail", b.detail.as_str())
+    });
     let failed_binaries = binaries.iter().filter(|b| !b.ok).count();
-    println!(
-        "{{\n  \"schema\": \"neuropulsim-binaries-conformance/v1\",\n  \
-         \"matrix_cases\": {},\n  \"matrix_instructions\": {},\n  \
-         \"matrix_failures\": [{}],\n  \"binaries\": [{}],\n  \
-         \"failed\": {}\n}}",
-        matrix.total,
-        matrix.instructions,
-        matrix_failures.join(", "),
-        binary_json.join(", "),
-        matrix.failures.len() + failed_binaries
-    );
+    let matrix_failures = matrix.failures.iter().map(String::as_str);
+    let report = Json::object(Layout::Pretty)
+        .field("schema", "neuropulsim-binaries-conformance/v1")
+        .field("matrix_cases", matrix.total)
+        .field("matrix_instructions", matrix.instructions)
+        .field(
+            "matrix_failures",
+            Json::array(Layout::Compact, matrix_failures),
+        )
+        .field("binaries", Json::array(Layout::Compact, binary_json))
+        .field("failed", matrix.failures.len() + failed_binaries);
+    println!("{report}");
     if !matrix.failures.is_empty() || failed_binaries > 0 {
         std::process::exit(1);
     }

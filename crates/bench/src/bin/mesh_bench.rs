@@ -24,6 +24,7 @@ use neuropulsim_core::program::MeshScratch;
 use neuropulsim_linalg::parallel::available_threads;
 use neuropulsim_linalg::random::haar_unitary;
 use neuropulsim_linalg::C64;
+use neuropulsim_sim::json::{sci, Json, Layout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -168,53 +169,46 @@ fn bits_equal(a: &[C64], b: &[C64]) -> bool {
             .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
 }
 
-fn stats_json(s: &Stats) -> String {
-    format!(
-        "{{\"mean\": {:e}, \"std\": {:e}, \"min\": {:e}, \"max\": {:e}, \"count\": {}}}",
-        s.mean, s.std, s.min, s.max, s.count
+fn stats_json(s: &Stats) -> Json {
+    Json::object(Layout::Compact)
+        .field("mean", sci(s.mean))
+        .field("std", sci(s.std))
+        .field("min", sci(s.min))
+        .field("max", sci(s.max))
+        .field("count", s.count)
+}
+
+fn grid_json(points: &[GridPoint]) -> Json {
+    Json::array(
+        Layout::Compact,
+        points.iter().map(|p| {
+            Json::object(Layout::Compact)
+                .field("arch", p.arch.name())
+                .field("n", p.n)
+                .field("expressivity", stats_json(&p.expressivity))
+                .field("imbalance", stats_json(&p.imbalance))
+        }),
     )
 }
 
-fn grid_json(points: &[GridPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"arch\": \"{}\", \"n\": {}, \"expressivity\": {}, \"imbalance\": {}}}",
-                p.arch.name(),
-                p.n,
-                stats_json(&p.expressivity),
-                stats_json(&p.imbalance)
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(", "))
-}
-
-fn drift_json(traces: &[DriftTrace]) -> String {
-    let rows: Vec<String> = traces
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"arch\": \"{}\", \"n\": {}, \"fresh_fidelity\": {:e}, \
-                 \"stored_fidelity\": {:e}, \"floor\": {:e}, \"min_fidelity\": {:e}, \
-                 \"worst_excursion\": {:e}, \"mean_fidelity\": {:e}, \
-                 \"final_fidelity\": {:e}, \"recalibrations\": {}, \"steps\": {}}}",
-                t.arch.name(),
-                t.n,
-                t.fresh_fidelity,
-                t.stored_fidelity,
-                t.floor,
-                t.min_fidelity,
-                t.worst_excursion,
-                t.mean_fidelity,
-                t.final_fidelity,
-                t.recalibrations,
-                t.steps
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(", "))
+fn drift_json(traces: &[DriftTrace]) -> Json {
+    Json::array(
+        Layout::Compact,
+        traces.iter().map(|t| {
+            Json::object(Layout::Compact)
+                .field("arch", t.arch.name())
+                .field("n", t.n)
+                .field("fresh_fidelity", sci(t.fresh_fidelity))
+                .field("stored_fidelity", sci(t.stored_fidelity))
+                .field("floor", sci(t.floor))
+                .field("min_fidelity", sci(t.min_fidelity))
+                .field("worst_excursion", sci(t.worst_excursion))
+                .field("mean_fidelity", sci(t.mean_fidelity))
+                .field("final_fidelity", sci(t.final_fidelity))
+                .field("recalibrations", t.recalibrations)
+                .field("steps", t.steps)
+        }),
+    )
 }
 
 fn main() {
@@ -261,13 +255,11 @@ fn main() {
     };
     let drift = drift_campaign_all(drift_n, &drift_cfg, SEED, threads);
 
-    let payload = format!(
-        "{{\"bit_identical\": {}, \"grid_trials\": {}, \"grid\": {}, \"drift\": {}}}",
-        bit_identical,
-        grid_trials,
-        grid_json(&grid),
-        drift_json(&drift)
-    );
-    runner.payload(payload);
+    let payload = Json::object(Layout::Compact)
+        .field("bit_identical", bit_identical)
+        .field("grid_trials", grid_trials)
+        .field("grid", grid_json(&grid))
+        .field("drift", drift_json(&drift));
+    runner.payload(payload.to_string());
     print!("{}", runner.to_json());
 }

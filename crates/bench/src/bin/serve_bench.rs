@@ -19,6 +19,7 @@
 
 use neuropulsim_bench::runner::{positional_args, Runner};
 use neuropulsim_linalg::RMatrix;
+use neuropulsim_sim::json::{fixed, Json, Layout};
 use neuropulsim_sim::serve::{
     synthetic_load, InferenceServer, LoadSpec, PeFault, PeSpec, ServeConfig,
 };
@@ -104,13 +105,16 @@ fn main() {
     let scaling = four.report.requests_per_sec / one.report.requests_per_sec;
     runner.derived("scaling_rps_1_to_4", format!("{scaling:.3}"));
     runner.derived("degraded_dropped", format!("{}", degraded.report.dropped));
-    runner.payload(format!(
-        "{{\"requests\": {requests}, \"seed\": {seed}, \"model_n\": {N}, \
-         \"scaling_rps_1_to_4\": {scaling:.3}, \"scenarios\": {{\
-         \"pe1\": {}, \"pe4\": {}, \"degraded4\": {}}}}}",
-        one.report.to_json(),
-        four.report.to_json(),
-        degraded.report.to_json(),
-    ));
+    let scenarios = Json::object(Layout::Compact)
+        .field("pe1", Json::Raw(one.report.to_json()))
+        .field("pe4", Json::Raw(four.report.to_json()))
+        .field("degraded4", Json::Raw(degraded.report.to_json()));
+    let payload = Json::object(Layout::Compact)
+        .field("requests", requests)
+        .field("seed", seed)
+        .field("model_n", N)
+        .field("scaling_rps_1_to_4", fixed(scaling, 3))
+        .field("scenarios", scenarios);
+    runner.payload(payload.to_string());
     print!("{}", runner.to_json());
 }

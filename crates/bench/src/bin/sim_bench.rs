@@ -34,6 +34,7 @@ use neuropulsim_riscv::block::PerfCounters;
 use neuropulsim_riscv::bus::FlatMemory;
 use neuropulsim_riscv::cpu::Cpu;
 use neuropulsim_sim::firmware::{accel_offload, cluster_offload, software_mvm, DramLayout};
+use neuropulsim_sim::json::{fixed, Json, Layout};
 use neuropulsim_sim::system::{RunReport, System};
 
 const N: usize = 8;
@@ -188,35 +189,25 @@ fn time_interpreter(runner: &mut Runner, reps: usize) {
     });
 }
 
-fn payload_for(name: &str, fast: &ModeRun, perf: &PerfCounters) -> String {
-    format!(
-        "{{\"workload\": \"{name}\", \
-         \"instructions_per_run\": {}, \
-         \"cycles_per_run\": {}, \
-         \"block_cache_hits\": {}, \
-         \"block_cache_misses\": {}, \
-         \"block_cache_hit_rate\": {:.4}, \
-         \"block_conflict_evictions\": {}, \
-         \"traces_compiled\": {}, \
-         \"trace_hits\": {}, \
-         \"trace_conflict_evictions\": {}, \
-         \"trace_exits\": {{\"guard\": {}, \"end\": {}, \"budget\": {}, \
-         \"mmio\": {}, \"invalidated\": {}}}}}",
-        perf.instret,
-        fast.report.cycles,
-        perf.block_hits,
-        perf.block_misses,
-        perf.block_hit_rate(),
-        perf.block_conflict_evictions,
-        perf.traces_compiled,
-        perf.trace_hits,
-        perf.trace_conflict_evictions,
-        perf.trace_exit_guard,
-        perf.trace_exit_end,
-        perf.trace_exit_budget,
-        perf.trace_exit_mmio,
-        perf.trace_exit_invalidated,
-    )
+fn payload_for(name: &str, fast: &ModeRun, perf: &PerfCounters) -> Json {
+    let trace_exits = Json::object(Layout::Compact)
+        .field("guard", perf.trace_exit_guard)
+        .field("end", perf.trace_exit_end)
+        .field("budget", perf.trace_exit_budget)
+        .field("mmio", perf.trace_exit_mmio)
+        .field("invalidated", perf.trace_exit_invalidated);
+    Json::object(Layout::Compact)
+        .field("workload", name)
+        .field("instructions_per_run", perf.instret)
+        .field("cycles_per_run", fast.report.cycles)
+        .field("block_cache_hits", perf.block_hits)
+        .field("block_cache_misses", perf.block_misses)
+        .field("block_cache_hit_rate", fixed(perf.block_hit_rate(), 4))
+        .field("block_conflict_evictions", perf.block_conflict_evictions)
+        .field("traces_compiled", perf.traces_compiled)
+        .field("trace_hits", perf.trace_hits)
+        .field("trace_conflict_evictions", perf.trace_conflict_evictions)
+        .field("trace_exits", trace_exits)
 }
 
 fn main() {
@@ -305,12 +296,11 @@ fn main() {
     }
     time_interpreter(&mut runner, reps);
 
-    runner.payload(format!(
-        "{{\"bit_identical\": {all_identical}, \
-         \"fast_forwarded_cycles_per_run\": {offload_ff_cycles}, \
-         \"workloads\": [{}]}}",
-        workload_payloads.join(", ")
-    ));
+    let payload = Json::object(Layout::Compact)
+        .field("bit_identical", all_identical)
+        .field("fast_forwarded_cycles_per_run", offload_ff_cycles)
+        .field("workloads", Json::array(Layout::Compact, workload_payloads));
+    runner.payload(payload.to_string());
     print!("{}", runner.to_json());
     if !all_identical {
         std::process::exit(1);

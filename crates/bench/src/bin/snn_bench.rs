@@ -16,10 +16,10 @@
 //! It also times the spiking substrate of experiment E6 (measurements
 //! only, no payload): Yamada RK4 integration, a full PCM synapse
 //! programming sweep, and WTA-layer presentations with and without
-//! learning and with the drive fanned out over two threads. Last comes
-//! the plastic path: `snn_tick/event_stdp/n16384` times a 16384-neuron
-//! net with STDP on, and `stdp_pulses_per_tick/n16384` records the
-//! programming pulses its ticks apply.
+//! learning. Last comes the plastic path: `snn_tick/event_stdp/n16384`
+//! times a 16384-neuron net with STDP on, and
+//! `stdp_pulses_per_tick/n16384` records the programming pulses its
+//! ticks apply.
 //!
 //! The committed `BENCH_snn.json` baseline is regenerated with
 //! `cargo run --release --bin snn_bench > BENCH_snn.json`; CI fails on
@@ -31,6 +31,7 @@
 use neuropulsim_bench::runner::Runner;
 use neuropulsim_linalg::parallel::{available_threads, split_seed};
 use neuropulsim_photonics::laser::{YamadaLaser, YamadaParams};
+use neuropulsim_sim::json::{fixed, Json, Layout};
 use neuropulsim_snn::encoding::latency_encode;
 use neuropulsim_snn::network::SpikingLayer;
 use neuropulsim_snn::sparse::{DenseNet, EventNet, NetSpec};
@@ -124,17 +125,10 @@ fn bench_substrate(runner: &mut Runner) {
         std::hint::black_box(s.weight());
     });
     let stimulus = latency_encode(&[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 20.0);
-    // The two-thread drive spawns its workers on every step, so one call
-    // costs ~5 ms and it gets fewer calls per repetition.
-    for (variant, learn, drive_threads, iters) in [
-        ("inference", false, 1, 5000),
-        ("learning", true, 1, 5000),
-        ("inference_par2", false, 2, 50),
-    ] {
+    for (variant, learn) in [("inference", false), ("learning", true)] {
         let mut layer = SpikingLayer::new(9, 3, &mut StdRng::seed_from_u64(1));
-        layer.drive_threads = drive_threads;
         let id = format!("spiking_layer_present/{variant}");
-        time_calls(runner, &id, iters, || {
+        time_calls(runner, &id, 5000, || {
             std::hint::black_box(layer.present(&stimulus, 30.0, 0.5, learn));
         });
     }
@@ -186,9 +180,12 @@ fn main() {
     for &n in &matched_sizes {
         let k = (n / 50).max(1); // ~2% injected activity
         let spikes = check_identity(n, k);
-        matched_payload.push(format!(
-            "{{\"n\": {n}, \"injected_per_tick\": {k}, \"spikes_30_ticks\": {spikes}}}"
-        ));
+        matched_payload.push(
+            Json::object(Layout::Compact)
+                .field("n", n)
+                .field("injected_per_tick", k)
+                .field("spikes_30_ticks", spikes),
+        );
 
         let sp = spec(n);
         let sched = schedule(&sp, TICKS * (REPS + 1), k, 31);
@@ -274,13 +271,17 @@ fn main() {
             &format!("ns_per_event/n{big_n}_{label}"),
             format!("{:.1}", ns_per_tick / events_per_tick.max(1.0)),
         );
-        ladder_payload.push(format!(
-            "{{\"label\": \"{label}\", \"injected_per_tick\": {k}, \
-             \"fired_per_tick\": {fired_per_tick:.0}, \
-             \"events_per_tick\": {events_per_tick:.0}, \
-             \"activity_pct\": {:.2}}}",
-            100.0 * fired_per_tick / big_n as f64
-        ));
+        ladder_payload.push(
+            Json::object(Layout::Compact)
+                .field("label", label)
+                .field("injected_per_tick", k)
+                .field("fired_per_tick", fixed(fired_per_tick, 0))
+                .field("events_per_tick", fixed(events_per_tick, 0))
+                .field(
+                    "activity_pct",
+                    fixed(100.0 * fired_per_tick / big_n as f64, 2),
+                ),
+        );
     }
     // Event-driven evidence: tick cost at 5% vs 0.5% activity. A dense
     // O(N*M) sweep would sit at 1.0; event-driven tracks the ~10x event
@@ -290,12 +291,14 @@ fn main() {
         format!("{:.2}", tick_ns_by_activity[2] / tick_ns_by_activity[0]),
     );
 
-    runner.payload(format!(
-        "{{\"neurons\": {big_n}, \"fanout\": {FANOUT}, \"quick\": {quick}, \
-         \"matched_bit_identical\": true, \"matched\": [{}], \"ladder\": [{}]}}",
-        matched_payload.join(", "),
-        ladder_payload.join(", ")
-    ));
+    let payload = Json::object(Layout::Compact)
+        .field("neurons", big_n)
+        .field("fanout", FANOUT)
+        .field("quick", quick)
+        .field("matched_bit_identical", true)
+        .field("matched", Json::array(Layout::Compact, matched_payload))
+        .field("ladder", Json::array(Layout::Compact, ladder_payload));
+    runner.payload(payload.to_string());
     bench_substrate(&mut runner);
     bench_stdp(&mut runner, threads);
     print!("{}", runner.to_json());

@@ -24,6 +24,7 @@
 //!  "min_ns":...,"norm":...,"meta":{...}}],"derived":{...},"payload":{...}}
 //! ```
 
+use neuropulsim_sim::json::{fixed, Json, Layout};
 use std::time::Instant;
 
 /// Iterations of the fixed calibration kernel.
@@ -247,55 +248,44 @@ impl Runner {
         self.payload = Some(raw_json);
     }
 
-    /// Renders the `neuropulsim-bench/v1` report.
+    /// Renders the `neuropulsim-bench/v1` report, `payload` last.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"neuropulsim-bench/v1\",\n");
-        s.push_str(&format!("  \"bench\": \"{}\",\n", self.bench));
-        s.push_str(&format!("  \"calib_ns\": {:.0},\n", self.calib_ns));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
+        let raw_fields = |pairs: &[(String, String)]| {
+            pairs
+                .iter()
+                .fold(Json::object(Layout::Compact), |o, (k, v)| {
+                    o.field(k, Json::Raw(v.clone()))
+                })
+        };
+        let measurements = self.measurements.iter().map(|m| {
+            let o = Json::object(Layout::Compact)
+                .field("id", m.id.as_str())
+                .field("reps", m.reps)
+                .field("median_ns", fixed(m.median_ns, 1))
+                .field("min_ns", fixed(m.min_ns, 1))
+                .field("norm", fixed(m.norm, 6));
+            if m.meta.is_empty() {
+                o
+            } else {
+                o.field("meta", raw_fields(&m.meta))
+            }
+        });
+        let mut report = Json::object(Layout::Pretty)
+            .field("schema", "neuropulsim-bench/v1")
+            .field("bench", self.bench.as_str())
+            .field("calib_ns", fixed(self.calib_ns, 0))
+            .field("threads", self.threads);
         if self.profile {
-            s.push_str("  \"profile\": true,\n");
+            report = report.field("profile", true);
         }
-        s.push_str("  \"measurements\": [\n");
-        for (k, m) in self.measurements.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"id\": \"{}\", \"reps\": {}, \"median_ns\": {:.1}, \
-                 \"min_ns\": {:.1}, \"norm\": {:.6}",
-                m.id, m.reps, m.median_ns, m.min_ns, m.norm
-            ));
-            if !m.meta.is_empty() {
-                s.push_str(", \"meta\": {");
-                for (j, (key, value)) in m.meta.iter().enumerate() {
-                    if j > 0 {
-                        s.push_str(", ");
-                    }
-                    s.push_str(&format!("\"{key}\": {value}"));
-                }
-                s.push('}');
-            }
-            s.push('}');
-            if k + 1 < self.measurements.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"derived\": {");
-        for (j, (key, value)) in self.derived.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{key}\": {value}"));
-        }
-        s.push_str("},\n");
-        match &self.payload {
-            Some(p) => s.push_str(&format!("  \"payload\": {p}\n")),
-            None => s.push_str("  \"payload\": null\n"),
-        }
-        s.push_str("}\n");
-        s
+        let report = report
+            .field("measurements", Json::array(Layout::Pretty, measurements))
+            .field("derived", raw_fields(&self.derived))
+            .field(
+                "payload",
+                Json::Raw(self.payload.clone().unwrap_or_else(|| "null".to_string())),
+            );
+        format!("{report}\n")
     }
 }
 

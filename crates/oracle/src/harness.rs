@@ -24,6 +24,7 @@ use neuropulsim_photonics::pcm::{transmission_levels, PcmCell, PcmMaterial};
 use neuropulsim_riscv::bus::{Bus, FlatMemory};
 use neuropulsim_riscv::cpu::{Cpu, Halt, Trap};
 use neuropulsim_riscv::isa::{encode, Instruction};
+use neuropulsim_sim::json::{sci, Json, Layout};
 use neuropulsim_snn::neuron::NeuronArray;
 use neuropulsim_snn::sparse::{DenseNet, EventNet, NetSpec};
 use neuropulsim_snn::stdp::StdpRule;
@@ -257,84 +258,33 @@ impl ConformanceReport {
     /// Serializes the report as deterministic JSON (stable key order,
     /// `{:e}` float formatting, no timing or thread-count fields).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!(
-            "  \"cases_per_domain\": {},\n",
-            self.cases_per_domain
-        ));
-        s.push_str(&format!(
-            "  \"total_cases\": {},\n",
-            self.cases_per_domain * self.domains.len()
-        ));
-        s.push_str(&format!(
-            "  \"total_divergences\": {},\n",
-            self.total_divergences
-        ));
-        s.push_str("  \"domains\": [\n");
-        for (k, d) in self.domains.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"name\": \"{}\",\n", d.domain.name()));
-            s.push_str(&format!("      \"cases\": {},\n", d.cases));
-            s.push_str(&format!("      \"passes\": {},\n", d.passes));
-            s.push_str(&format!("      \"divergences\": {},\n", d.divergences));
-            s.push_str(&format!(
-                "      \"tolerance\": {:e},\n",
-                d.domain.tolerance()
-            ));
-            s.push_str(&format!(
-                "      \"bit_exact\": {},\n",
-                d.domain.tolerance() == 0.0
-            ));
-            s.push_str(&format!("      \"worst_error\": {:e},\n", d.worst_error));
-            s.push_str("      \"repros\": [");
-            for (j, r) in d.repros.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "\n        {{\"case_index\": {}, \"case_seed\": {}, \"original_size\": {}, \"shrunk_size\": {}, \"detail\": \"{}\"}}",
-                    r.case_index,
-                    r.case_seed,
-                    r.original_size,
-                    r.shrunk_size,
-                    escape_json(&r.detail)
-                ));
-            }
-            if d.repros.is_empty() {
-                s.push(']');
-            } else {
-                s.push_str("\n      ]");
-            }
-            s.push('\n');
-            s.push_str(if k + 1 < self.domains.len() {
-                "    },\n"
-            } else {
-                "    }\n"
+        let domains = self.domains.iter().map(|d| {
+            let repros = d.repros.iter().map(|r| {
+                Json::object(Layout::Compact)
+                    .field("case_index", r.case_index)
+                    .field("case_seed", r.case_seed)
+                    .field("original_size", r.original_size)
+                    .field("shrunk_size", r.shrunk_size)
+                    .field("detail", r.detail.as_str())
             });
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+            Json::object(Layout::Pretty)
+                .field("name", d.domain.name())
+                .field("cases", d.cases)
+                .field("passes", d.passes)
+                .field("divergences", d.divergences)
+                .field("tolerance", sci(d.domain.tolerance()))
+                .field("bit_exact", d.domain.tolerance() == 0.0)
+                .field("worst_error", sci(d.worst_error))
+                .field("repros", Json::array(Layout::Pretty, repros))
+        });
+        let report = Json::object(Layout::Pretty)
+            .field("seed", self.seed)
+            .field("cases_per_domain", self.cases_per_domain)
+            .field("total_cases", self.cases_per_domain * self.domains.len())
+            .field("total_divergences", self.total_divergences)
+            .field("domains", Json::array(Layout::Pretty, domains));
+        format!("{report}\n")
     }
-}
-
-/// Escapes `s` for the inside of a JSON string literal: `"` and `\`
-/// gain a backslash, a newline becomes `\n`, and every other control
-/// character below U+0020 becomes `\u00XX`.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Runs one case of `domain` with `case_seed`. `size_override` forces
@@ -1320,16 +1270,5 @@ pub fn run_conformance(config: &ConformanceConfig) -> ConformanceReport {
         cases_per_domain: config.cases,
         total_divergences: domains.iter().map(|d| d.divergences).sum(),
         domains,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::escape_json;
-
-    #[test]
-    fn escape_json_escapes_every_control_character() {
-        assert_eq!(escape_json("a\tb\r\u{1}"), "a\\u0009b\\u000d\\u0001");
-        assert_eq!(escape_json("\"q\"\\\n"), "\\\"q\\\"\\\\\\n");
     }
 }

@@ -24,14 +24,15 @@
 //!    intervals, and a campaign can stop early once the vulnerability
 //!    interval is narrower than a target width.
 //!
-//! The result is a [`CampaignReport`] with per-stratum breakdowns and a
-//! hand-rolled JSON serialization for downstream tooling (see
+//! The result is a [`CampaignReport`] with per-stratum breakdowns,
+//! serialized through [`crate::json`] for downstream tooling (see
 //! `fault_bench` in the bench crate).
 
 use crate::checkpoint::SystemSnapshot;
 use crate::fault::{
     Campaign, CampaignStats, Fault, FaultKind, FaultOutcome, FaultTarget, DEFAULT_PERMANENT_PERIOD,
 };
+use crate::json::{fixed, Json, Layout};
 use crate::system::RunOutcome;
 use neuropulsim_linalg::parallel::{available_threads, par_map_indexed, split_seed};
 use rand::rngs::StdRng;
@@ -189,6 +190,14 @@ pub fn wilson_interval(k: usize, n: usize, z: f64) -> (f64, f64) {
     )
 }
 
+/// `{"rate": p, "ci95": [lo, hi]}`, six decimals each.
+fn rate_json(p: f64, lo: f64, hi: f64) -> Json {
+    let ci95 = Json::array(Layout::Compact, [fixed(lo, 6), fixed(hi, 6)]);
+    Json::object(Layout::Compact)
+        .field("rate", fixed(p, 6))
+        .field("ci95", ci95)
+}
+
 /// Critical value of the 95% interval.
 pub const Z_95: f64 = 1.96;
 
@@ -251,80 +260,65 @@ impl CampaignReport {
         )
     }
 
-    /// Serializes the report as a JSON object (hand-rolled; the
-    /// workspace carries no serialization dependency).
+    /// Serializes the report as a JSON object: one top-level member per
+    /// line, nested objects and arrays on one line each.
     pub fn to_json(&self) -> String {
         let n = self.stats.total();
-        let rate = |k: usize| -> String {
+        let rate = |k: usize| {
             let (lo, hi) = wilson_interval(k, n, Z_95);
             let p = if n == 0 { 0.0 } else { k as f64 / n as f64 };
-            format!("{{\"rate\": {p:.6}, \"ci95\": [{lo:.6}, {hi:.6}]}}")
+            rate_json(p, lo, hi)
         };
-        let strata: Vec<String> = self
-            .strata
-            .iter()
-            .map(|(name, s)| {
-                format!(
-                    "{{\"name\": \"{}\", \"injections\": {}, \"masked\": {}, \"sdc\": {}, \
-                     \"crashes\": {}, \"hangs\": {}, \"detected_recovered\": {}, \
-                     \"detected_uncorrected\": {}, \"vulnerability\": {:.6}}}",
-                    name,
-                    s.total(),
-                    s.masked,
-                    s.sdc,
-                    s.crashes,
-                    s.hangs,
-                    s.detected_recovered,
-                    s.detected_uncorrected,
-                    s.vulnerability()
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"workload\": \"{workload}\",\n  \"fault_kind\": \"{kind}\",\n  \
-             \"seed\": {seed},\n  \"requested_injections\": {req},\n  \
-             \"injections\": {inj},\n  \"early_stopped\": {early},\n  \
-             \"threads\": {threads},\n  \"checkpoint_cadence\": {cadence},\n  \
-             \"checkpoints\": {cps},\n  \"checkpoint_bytes\": {cpb},\n  \
-             \"golden_cycles\": {gc},\n  \"cycles_simulated\": {sim},\n  \
-             \"cycles_saved\": {saved},\n  \"replay_savings\": {ratio:.6},\n  \
-             \"outcomes\": {{\"masked\": {m}, \"sdc\": {s}, \"crashes\": {c}, \"hangs\": {h}, \
-             \"detected_recovered\": {dr}, \"detected_uncorrected\": {du}}},\n  \
-             \"rates\": {{\"masked\": {rm}, \"sdc\": {rs}, \"crash\": {rc}, \"hang\": {rh}, \
-             \"detected_recovered\": {rdr}, \"detected_uncorrected\": {rdu}, \
-             \"vulnerability\": {rv}}},\n  \"strata\": [{strata}]\n}}",
-            workload = self.workload,
-            kind = match self.kind {
-                FaultKind::Transient => "transient",
-                FaultKind::Permanent => "permanent",
-            },
-            seed = self.seed,
-            req = self.requested_injections,
-            inj = self.injections,
-            early = self.early_stopped,
-            threads = self.threads,
-            cadence = self.cadence,
-            cps = self.checkpoints,
-            cpb = self.checkpoint_bytes,
-            gc = self.golden_cycles,
-            sim = self.cycles_simulated,
-            saved = self.cycles_saved,
-            ratio = self.savings_ratio(),
-            m = self.stats.masked,
-            s = self.stats.sdc,
-            c = self.stats.crashes,
-            h = self.stats.hangs,
-            dr = self.stats.detected_recovered,
-            du = self.stats.detected_uncorrected,
-            rm = rate(self.stats.masked),
-            rs = rate(self.stats.sdc),
-            rc = rate(self.stats.crashes),
-            rh = rate(self.stats.hangs),
-            rdr = rate(self.stats.detected_recovered),
-            rdu = rate(self.stats.detected_uncorrected),
-            rv = rate(n - self.stats.masked - self.stats.detected_recovered),
-            strata = strata.join(", "),
-        )
+        let counts = |o: Json, s: &CampaignStats| {
+            o.field("masked", s.masked)
+                .field("sdc", s.sdc)
+                .field("crashes", s.crashes)
+                .field("hangs", s.hangs)
+                .field("detected_recovered", s.detected_recovered)
+                .field("detected_uncorrected", s.detected_uncorrected)
+        };
+        let strata = self.strata.iter().map(|(name, s)| {
+            let head = Json::object(Layout::Compact)
+                .field("name", name.as_str())
+                .field("injections", s.total());
+            counts(head, s).field("vulnerability", fixed(s.vulnerability(), 6))
+        });
+        let st = &self.stats;
+        Json::object(Layout::Pretty)
+            .field("workload", self.workload.as_str())
+            .field(
+                "fault_kind",
+                match self.kind {
+                    FaultKind::Transient => "transient",
+                    FaultKind::Permanent => "permanent",
+                },
+            )
+            .field("seed", self.seed)
+            .field("requested_injections", self.requested_injections)
+            .field("injections", self.injections)
+            .field("early_stopped", self.early_stopped)
+            .field("threads", self.threads)
+            .field("checkpoint_cadence", self.cadence)
+            .field("checkpoints", self.checkpoints)
+            .field("checkpoint_bytes", self.checkpoint_bytes)
+            .field("golden_cycles", self.golden_cycles)
+            .field("cycles_simulated", self.cycles_simulated)
+            .field("cycles_saved", self.cycles_saved)
+            .field("replay_savings", fixed(self.savings_ratio(), 6))
+            .field("outcomes", counts(Json::object(Layout::Compact), st))
+            .field(
+                "rates",
+                Json::object(Layout::Compact)
+                    .field("masked", rate(st.masked))
+                    .field("sdc", rate(st.sdc))
+                    .field("crash", rate(st.crashes))
+                    .field("hang", rate(st.hangs))
+                    .field("detected_recovered", rate(st.detected_recovered))
+                    .field("detected_uncorrected", rate(st.detected_uncorrected))
+                    .field("vulnerability", rate(n - st.masked - st.detected_recovered)),
+            )
+            .field("strata", Json::array(Layout::Compact, strata))
+            .to_string()
     }
 }
 
@@ -573,26 +567,21 @@ impl GuardComparison {
     }
 
     /// Serializes the comparison as one JSON object embedding both full
-    /// campaign reports (hand-rolled; no serialization dependency).
+    /// campaign reports verbatim.
     pub fn to_json(&self) -> String {
         let (cov, (cov_lo, cov_hi)) = self.detection_coverage();
         let (rec, (rec_lo, rec_hi)) = self.recovery_rate();
         let (sdc_base, sdc_guard) = self.sdc_rates();
-        format!(
-            "{{\n  \"detection_coverage\": {{\"rate\": {cov:.6}, \
-             \"ci95\": [{cov_lo:.6}, {cov_hi:.6}]}},\n  \
-             \"recovery_rate\": {{\"rate\": {rec:.6}, \
-             \"ci95\": [{rec_lo:.6}, {rec_hi:.6}]}},\n  \
-             \"cycle_overhead\": {overhead:.6},\n  \
-             \"reclassified_ratio\": {reclass:.6},\n  \
-             \"sdc_rate_baseline\": {sdc_base:.6},\n  \
-             \"sdc_rate_guarded\": {sdc_guard:.6},\n  \
-             \"baseline\": {base},\n  \"guarded\": {guard}\n}}",
-            overhead = self.cycle_overhead(),
-            reclass = self.reclassified_ratio(),
-            base = self.baseline.to_json(),
-            guard = self.guarded.to_json(),
-        )
+        Json::object(Layout::Pretty)
+            .field("detection_coverage", rate_json(cov, cov_lo, cov_hi))
+            .field("recovery_rate", rate_json(rec, rec_lo, rec_hi))
+            .field("cycle_overhead", fixed(self.cycle_overhead(), 6))
+            .field("reclassified_ratio", fixed(self.reclassified_ratio(), 6))
+            .field("sdc_rate_baseline", fixed(sdc_base, 6))
+            .field("sdc_rate_guarded", fixed(sdc_guard, 6))
+            .field("baseline", Json::Raw(self.baseline.to_json()))
+            .field("guarded", Json::Raw(self.guarded.to_json()))
+            .to_string()
     }
 }
 
@@ -805,37 +794,72 @@ mod tests {
         assert!(hi_l - lo_l < hi_s - lo_s, "more samples, tighter interval");
     }
 
-    #[test]
-    fn report_json_is_well_formed() {
-        let c = workload();
-        let cfg = CampaignConfig {
-            cadence: 128,
-            threads: 1,
-            injections: 9,
-            batch: 4,
-            ..CampaignConfig::default()
+    fn campaign_fixture() -> CampaignReport {
+        let a = CampaignStats {
+            masked: 3,
+            sdc: 1,
+            crashes: 1,
+            hangs: 0,
+            detected_recovered: 1,
+            detected_uncorrected: 0,
         };
-        let report = c.run_stratified("mvm-n3", 5, FaultKind::Transient, &strata(), &cfg);
-        let json = report.to_json();
-        for key in [
-            "\"workload\": \"mvm-n3\"",
-            "\"fault_kind\": \"transient\"",
-            "\"checkpoint_cadence\": 128",
-            "\"cycles_saved\"",
-            "\"replay_savings\"",
-            "\"vulnerability\"",
-            "\"detected_recovered\"",
-            "\"detected_uncorrected\"",
-            "\"strata\"",
-            "\"dram-weights\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        let b = CampaignStats {
+            masked: 1,
+            sdc: 1,
+            crashes: 0,
+            hangs: 1,
+            detected_recovered: 0,
+            detected_uncorrected: 1,
+        };
+        CampaignReport {
+            workload: "mvm-n3".to_string(),
+            kind: FaultKind::Transient,
+            seed: 5,
+            requested_injections: 12,
+            injections: 10,
+            early_stopped: true,
+            threads: 2,
+            cadence: 128,
+            checkpoints: 4,
+            checkpoint_bytes: 4096,
+            golden_cycles: 900,
+            cycles_simulated: 3000,
+            cycles_saved: 1000,
+            stats: CampaignStats {
+                masked: 4,
+                sdc: 2,
+                crashes: 1,
+                hangs: 1,
+                detected_recovered: 1,
+                detected_uncorrected: 1,
+            },
+            strata: vec![("dram-weights".to_string(), a), ("cpu-regs".to_string(), b)],
         }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
-        );
+    }
+
+    #[test]
+    fn report_json_bytes_are_locked() {
+        // Top level one member per line, nested objects on one line.
+        let expected = r#"{
+  "workload": "mvm-n3",
+  "fault_kind": "transient",
+  "seed": 5,
+  "requested_injections": 12,
+  "injections": 10,
+  "early_stopped": true,
+  "threads": 2,
+  "checkpoint_cadence": 128,
+  "checkpoints": 4,
+  "checkpoint_bytes": 4096,
+  "golden_cycles": 900,
+  "cycles_simulated": 3000,
+  "cycles_saved": 1000,
+  "replay_savings": 0.250000,
+  "outcomes": {"masked": 4, "sdc": 2, "crashes": 1, "hangs": 1, "detected_recovered": 1, "detected_uncorrected": 1},
+  "rates": {"masked": {"rate": 0.400000, "ci95": [0.168178, 0.687330]}, "sdc": {"rate": 0.200000, "ci95": [0.056681, 0.509843]}, "crash": {"rate": 0.100000, "ci95": [0.017876, 0.404156]}, "hang": {"rate": 0.100000, "ci95": [0.017876, 0.404156]}, "detected_recovered": {"rate": 0.100000, "ci95": [0.017876, 0.404156]}, "detected_uncorrected": {"rate": 0.100000, "ci95": [0.017876, 0.404156]}, "vulnerability": {"rate": 0.500000, "ci95": [0.236590, 0.763410]}},
+  "strata": [{"name": "dram-weights", "injections": 6, "masked": 3, "sdc": 1, "crashes": 1, "hangs": 0, "detected_recovered": 1, "detected_uncorrected": 0, "vulnerability": 0.333333}, {"name": "cpu-regs", "injections": 4, "masked": 1, "sdc": 1, "crashes": 0, "hangs": 1, "detected_recovered": 0, "detected_uncorrected": 1, "vulnerability": 0.750000}]
+}"#;
+        assert_eq!(campaign_fixture().to_json(), expected);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!   fault semantics;
 //! - [`loader`]: an ELF32 loader and Linux-flavored syscall shim so
 //!   real RV32IM binaries run on the platform;
-//! - [`fixed`]: the Q16.16 operand format.
+//! - [`fixed`]: the Q16.16 operand format;
+//! - [`json`]: the one JSON writer behind every report.
 //!
 //! # Examples
 //!
@@ -61,6 +62,7 @@ pub mod fault;
 pub mod firmware;
 pub mod fixed;
 pub mod guard;
+pub mod json;
 pub mod loader;
 pub mod ram;
 pub mod serve;

@@ -60,7 +60,8 @@ pub const STACK_RESERVE: u32 = 64 * 1024;
 /// Why an ELF image was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ElfError {
-    /// The file is shorter than the structures it claims to contain.
+    /// The file is shorter than the structures it claims to contain
+    /// (the `PT_LOAD` file ranges together included).
     Truncated,
     /// The first four bytes are not `\x7fELF`.
     BadMagic,
@@ -70,7 +71,8 @@ pub enum ElfError {
     UnsupportedType(u16),
     /// Not an RISC-V (`EM_RISCV`) image.
     UnsupportedMachine(u16),
-    /// A `PT_LOAD` segment falls outside the system's DRAM.
+    /// A `PT_LOAD` segment falls outside the system's DRAM, or the
+    /// segments together claim more bytes than DRAM holds.
     SegmentOutOfRange {
         /// Segment virtual address.
         vaddr: u32,
@@ -148,7 +150,9 @@ fn u32le(b: &[u8], off: usize) -> Result<u32, ElfError> {
 /// # Errors
 ///
 /// Returns an [`ElfError`] for anything that is not a well-formed
-/// `ET_EXEC` / `EM_RISCV` / 32-bit / little-endian image.
+/// `ET_EXEC` / `EM_RISCV` / 32-bit / little-endian image. Overlapping
+/// `PT_LOAD` ranges that together exceed the file are
+/// [`ElfError::Truncated`], so parsing copies at most `bytes.len()`.
 pub fn parse_elf32(bytes: &[u8]) -> Result<ElfImage, ElfError> {
     if bytes.len() < 52 {
         return Err(if bytes.get(..4) == Some(b"\x7fELF") {
@@ -180,6 +184,7 @@ pub fn parse_elf32(bytes: &[u8]) -> Result<ElfImage, ElfError> {
         return Err(ElfError::Truncated);
     }
     let mut segments = Vec::new();
+    let mut copied = 0usize;
     for k in 0..phnum {
         let ph = phoff + k * phentsize;
         if u32le(bytes, ph)? != PT_LOAD {
@@ -189,6 +194,10 @@ pub fn parse_elf32(bytes: &[u8]) -> Result<ElfImage, ElfError> {
         let vaddr = u32le(bytes, ph + 8)?;
         let filesz = u32le(bytes, ph + 16)? as usize;
         let memsz = u32le(bytes, ph + 20)?;
+        copied = copied
+            .checked_add(filesz)
+            .filter(|&c| c <= bytes.len())
+            .ok_or(ElfError::Truncated)?;
         let data = bytes
             .get(offset..offset + filesz)
             .ok_or(ElfError::Truncated)?
@@ -390,19 +399,22 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns an [`ElfError`] if the image is malformed or a segment
-    /// does not fit in DRAM.
+    /// Returns an [`ElfError`] if the image is malformed, a segment
+    /// does not fit in DRAM, or the segments together are larger than
+    /// DRAM (so loading writes at most `DRAM_SIZE` bytes).
     pub fn load_elf(&mut self, bytes: &[u8]) -> Result<ElfImage, ElfError> {
         let image = parse_elf32(bytes)?;
         let dram_end = DRAM_BASE + DRAM_SIZE as u32;
+        let mut total = 0usize;
         for seg in &image.segments {
             let size = seg.memsz.max(seg.data.len() as u32);
+            total += size as usize;
             // DRAM starts at address 0, so only the upper bound can fail.
             let fits = seg
                 .vaddr
                 .checked_add(size)
                 .is_some_and(|end| end <= dram_end);
-            if !fits {
+            if !fits || total > DRAM_SIZE {
                 return Err(ElfError::SegmentOutOfRange {
                     vaddr: seg.vaddr,
                     memsz: size,

@@ -84,6 +84,7 @@ pub mod chaos;
 
 use crate::accel::{mmr, AccelDevice, PcmDriftModel};
 use crate::fixed::{from_fixed, to_fixed};
+use crate::json::{fixed, Json, Layout};
 use crate::ram::Ram;
 use crate::system::{ACCEL_BASE, PE_STRIDE, SPM_BASE, SPM_SIZE};
 use neuropulsim_linalg::RMatrix;
@@ -474,62 +475,49 @@ pub struct ServeReport {
 impl ServeReport {
     /// Renders the report as a stable JSON object (bench payloads).
     pub fn to_json(&self) -> String {
-        let per_pe_jobs: Vec<String> = self.per_pe_jobs.iter().map(|j| j.to_string()).collect();
-        let per_pe: Vec<String> = self
-            .per_pe
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"ejections\": {}, \"readmissions\": {}, \"canary_recals\": {}, \
-                     \"out_of_fleet_cycles\": {}, \"jobs_since_readmission\": {}, \
-                     \"final_health\": \"{}\"}}",
-                    p.ejections,
-                    p.readmissions,
-                    p.canary_recals,
-                    p.out_of_fleet_cycles,
-                    p.jobs_since_readmission,
-                    p.final_health.as_str()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"completed\": {}, \"dropped\": {}, \"total_cycles\": {}, \
-             \"p50_latency_cycles\": {}, \"p99_latency_cycles\": {}, \
-             \"max_latency_cycles\": {}, \"requests_per_sec\": {:.3}, \
-             \"jobs_dispatched\": {}, \"jobs_failed\": {}, \"retries\": {}, \
-             \"pes_ejected\": {}, \"pes_dead\": {}, \"mean_batch_fill\": {:.3}, \
-             \"canaries_run\": {}, \
-             \"drops\": {{\"unservable\": {}, \"shed\": {}, \"deadline\": {}, \
-             \"poison\": {}, \"attempt_cap\": {}}}, \
-             \"failures\": {{\"watchdog\": {}, \"checksum\": {}, \
-             \"hard_fault\": {}, \"rejected\": {}}}, \
-             \"per_pe_jobs\": [{}], \"per_pe\": [{}]}}",
-            self.completed,
-            self.dropped,
-            self.total_cycles,
-            self.p50_latency_cycles,
-            self.p99_latency_cycles,
-            self.max_latency_cycles,
-            self.requests_per_sec,
-            self.jobs_dispatched,
-            self.jobs_failed,
-            self.retries,
-            self.pes_ejected,
-            self.pes_dead,
-            self.mean_batch_fill,
-            self.canaries_run,
-            self.drops.unservable,
-            self.drops.shed,
-            self.drops.deadline,
-            self.drops.poison,
-            self.drops.attempt_cap,
-            self.failures.watchdog,
-            self.failures.checksum,
-            self.failures.hard_fault,
-            self.failures.rejected,
-            per_pe_jobs.join(", "),
-            per_pe.join(", "),
-        )
+        let per_pe = self.per_pe.iter().map(|p| {
+            Json::object(Layout::Compact)
+                .field("ejections", p.ejections)
+                .field("readmissions", p.readmissions)
+                .field("canary_recals", p.canary_recals)
+                .field("out_of_fleet_cycles", p.out_of_fleet_cycles)
+                .field("jobs_since_readmission", p.jobs_since_readmission)
+                .field("final_health", p.final_health.as_str())
+        });
+        let drops = Json::object(Layout::Compact)
+            .field("unservable", self.drops.unservable)
+            .field("shed", self.drops.shed)
+            .field("deadline", self.drops.deadline)
+            .field("poison", self.drops.poison)
+            .field("attempt_cap", self.drops.attempt_cap);
+        let failures = Json::object(Layout::Compact)
+            .field("watchdog", self.failures.watchdog)
+            .field("checksum", self.failures.checksum)
+            .field("hard_fault", self.failures.hard_fault)
+            .field("rejected", self.failures.rejected);
+        Json::object(Layout::Compact)
+            .field("completed", self.completed)
+            .field("dropped", self.dropped)
+            .field("total_cycles", self.total_cycles)
+            .field("p50_latency_cycles", self.p50_latency_cycles)
+            .field("p99_latency_cycles", self.p99_latency_cycles)
+            .field("max_latency_cycles", self.max_latency_cycles)
+            .field("requests_per_sec", fixed(self.requests_per_sec, 3))
+            .field("jobs_dispatched", self.jobs_dispatched)
+            .field("jobs_failed", self.jobs_failed)
+            .field("retries", self.retries)
+            .field("pes_ejected", self.pes_ejected)
+            .field("pes_dead", self.pes_dead)
+            .field("mean_batch_fill", fixed(self.mean_batch_fill, 3))
+            .field("canaries_run", self.canaries_run)
+            .field("drops", drops)
+            .field("failures", failures)
+            .field(
+                "per_pe_jobs",
+                Json::array(Layout::Compact, self.per_pe_jobs.iter().copied()),
+            )
+            .field("per_pe", Json::array(Layout::Compact, per_pe))
+            .to_string()
     }
 }
 
@@ -1708,6 +1696,51 @@ pub fn synthetic_load(models: &[RMatrix], spec: LoadSpec) -> Vec<Request> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn serve_fixture() -> ServeReport {
+        let pe = |ejections, final_health| PeLifecycle {
+            ejections,
+            readmissions: ejections,
+            canary_recals: 1,
+            out_of_fleet_cycles: 250 * u64::from(ejections),
+            jobs_since_readmission: 3,
+            final_health,
+        };
+        ServeReport {
+            completed: 7,
+            dropped: 2,
+            total_cycles: 1234,
+            p50_latency_cycles: 100,
+            p99_latency_cycles: 300,
+            max_latency_cycles: 310,
+            requests_per_sec: 1234.5678,
+            jobs_dispatched: 5,
+            jobs_failed: 1,
+            retries: 1,
+            pes_ejected: 1,
+            pes_dead: 0,
+            per_pe_jobs: vec![3, 1],
+            mean_batch_fill: 1.75,
+            fleet_energy_j: 1e-6,
+            drops: DropBreakdown {
+                shed: 1,
+                deadline: 1,
+                ..DropBreakdown::default()
+            },
+            failures: FailureBreakdown {
+                watchdog: 1,
+                ..FailureBreakdown::default()
+            },
+            canaries_run: 2,
+            per_pe: vec![pe(0, PeHealth::Healthy), pe(1, PeHealth::Probation)],
+        }
+    }
+
+    #[test]
+    fn report_json_bytes_are_locked() {
+        let expected = r#"{"completed": 7, "dropped": 2, "total_cycles": 1234, "p50_latency_cycles": 100, "p99_latency_cycles": 300, "max_latency_cycles": 310, "requests_per_sec": 1234.568, "jobs_dispatched": 5, "jobs_failed": 1, "retries": 1, "pes_ejected": 1, "pes_dead": 0, "mean_batch_fill": 1.750, "canaries_run": 2, "drops": {"unservable": 0, "shed": 1, "deadline": 1, "poison": 0, "attempt_cap": 0}, "failures": {"watchdog": 1, "checksum": 0, "hard_fault": 0, "rejected": 0}, "per_pe_jobs": [3, 1], "per_pe": [{"ejections": 0, "readmissions": 0, "canary_recals": 1, "out_of_fleet_cycles": 0, "jobs_since_readmission": 3, "final_health": "healthy"}, {"ejections": 1, "readmissions": 1, "canary_recals": 1, "out_of_fleet_cycles": 250, "jobs_since_readmission": 3, "final_health": "probation"}]}"#;
+        assert_eq!(serve_fixture().to_json(), expected);
+    }
 
     fn test_model(n: usize) -> RMatrix {
         RMatrix::from_fn(n, n, |i, j| {

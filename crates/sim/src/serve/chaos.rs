@@ -30,6 +30,7 @@ use super::{
     ServeOutcome,
 };
 use crate::accel::PcmDriftModel;
+use crate::json::{fixed, Json, Layout};
 use neuropulsim_linalg::parallel::{available_threads, par_map_indexed};
 use neuropulsim_linalg::RMatrix;
 
@@ -280,20 +281,16 @@ pub struct ScenarioReport {
 impl ScenarioReport {
     /// Renders the scenario report as a stable JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\": \"{}\", \"kind\": \"{}\", \"availability\": {:.4}, \
-             \"goodput_rps\": {:.3}, \"slo_violations\": {}, \
-             \"max_readmission_cycles\": {}, \"transients_readmitted\": {}, \
-             \"report\": {}}}",
-            self.name,
-            self.kind.as_str(),
-            self.availability,
-            self.goodput_rps,
-            self.slo_violations,
-            self.max_readmission_cycles,
-            self.transients_readmitted,
-            self.outcome.report.to_json(),
-        )
+        Json::object(Layout::Compact)
+            .field("name", self.name.as_str())
+            .field("kind", self.kind.as_str())
+            .field("availability", fixed(self.availability, 4))
+            .field("goodput_rps", fixed(self.goodput_rps, 3))
+            .field("slo_violations", self.slo_violations)
+            .field("max_readmission_cycles", self.max_readmission_cycles)
+            .field("transients_readmitted", self.transients_readmitted)
+            .field("report", Json::Raw(self.outcome.report.to_json()))
+            .to_string()
     }
 }
 
@@ -336,20 +333,22 @@ impl CampaignReport {
 
     /// Renders the campaign report as a stable JSON object.
     pub fn to_json(&self) -> String {
-        let scenarios: Vec<String> = self.scenarios.iter().map(ScenarioReport::to_json).collect();
-        format!(
-            "{{\"zero_drops_while_healthy\": {}, \"all_transients_readmitted\": {}, \
-             \"drift_recal_before_failure\": {}, \"overload_shed_and_served\": {}, \
-             \"accepted\": {}, \"min_fault_availability\": {:.4}, \
-             \"scenarios\": [{}]}}",
-            self.zero_drops_while_healthy,
-            self.all_transients_readmitted,
-            self.drift_recal_before_failure,
-            self.overload_shed_and_served,
-            self.accepted(),
-            self.min_fault_availability(),
-            scenarios.join(", "),
-        )
+        let scenarios = self.scenarios.iter().map(|s| Json::Raw(s.to_json()));
+        Json::object(Layout::Compact)
+            .field("zero_drops_while_healthy", self.zero_drops_while_healthy)
+            .field("all_transients_readmitted", self.all_transients_readmitted)
+            .field(
+                "drift_recal_before_failure",
+                self.drift_recal_before_failure,
+            )
+            .field("overload_shed_and_served", self.overload_shed_and_served)
+            .field("accepted", self.accepted())
+            .field(
+                "min_fault_availability",
+                fixed(self.min_fault_availability(), 4),
+            )
+            .field("scenarios", Json::array(Layout::Compact, scenarios))
+            .to_string()
     }
 }
 

@@ -7,7 +7,6 @@ use crate::encoding::SpikeTrain;
 use crate::neuron::NeuronArray;
 use crate::stdp::StdpRule;
 use crate::synapse::PcmSynapse;
-use neuropulsim_linalg::parallel;
 use neuropulsim_photonics::pcm::PcmMaterial;
 use rand::Rng;
 
@@ -46,10 +45,6 @@ pub struct SpikingLayer {
     pub inhibition: bool,
     /// Threshold boost added to a neuron each time it wins.
     pub homeostasis_boost: f64,
-    /// Worker count for the per-timestep drive computation (1 = serial).
-    /// Drives are pure reads of the weight cache, so any value yields
-    /// bit-identical results; widths > 1 only pay off for large layers.
-    pub drive_threads: usize,
 }
 
 /// Result of presenting one stimulus.
@@ -87,7 +82,6 @@ impl SpikingLayer {
             rule: StdpRule::default(),
             inhibition: true,
             homeostasis_boost: 0.12,
-            drive_threads: 1,
         }
     }
 
@@ -149,7 +143,6 @@ impl SpikingLayer {
         let mut spike_cursor = vec![0usize; self.inputs];
         let mut inhibited = vec![false; n_neurons];
         let mut impulses: Vec<usize> = Vec::with_capacity(self.inputs);
-        let mut drives = vec![0.0; n_neurons];
         let mut fired_this_step: Vec<(usize, f64)> = Vec::with_capacity(n_neurons);
 
         for step in 0..steps {
@@ -164,20 +157,19 @@ impl SpikingLayer {
                     spike_cursor[i] += 1;
                 }
             }
-            self.compute_drives(&impulses, &inhibited, &mut drives);
             // Step every active neuron, collecting simultaneous firers so
             // the winner of a same-step race is the neuron with the
             // largest drive margin — not the lowest index (a tie-break
             // that would otherwise let neuron 0 hog every pattern).
             fired_this_step.clear();
-            for j in 0..n_neurons {
-                if inhibited[j] {
-                    continue;
-                }
+            for j in (0..n_neurons).filter(|&j| !inhibited[j]) {
+                // Impulse drive: the cached weights of this step's spiking inputs.
+                let row = &self.weight_cache[j * self.inputs..(j + 1) * self.inputs];
+                let drive = impulses.iter().fold(0.0, |acc, &i| acc + row[i]);
                 let effective_threshold = self.base_threshold + self.threshold_offset[j];
                 self.neurons.set_threshold(j, effective_threshold);
-                if self.neurons.step(j, drives[j] / dt, dt) {
-                    fired_this_step.push((j, drives[j] - effective_threshold));
+                if self.neurons.step(j, drive / dt, dt) {
+                    fired_this_step.push((j, drive - effective_threshold));
                 }
             }
             if !fired_this_step.is_empty() {
@@ -217,34 +209,6 @@ impl SpikingLayer {
             *off = (*off - 0.01).max(0.0);
         }
         Presentation { outputs, winner }
-    }
-
-    /// Impulse drive per neuron: the sum of cached weights of this step's
-    /// spiking inputs. Pure reads of the weight cache, so fanning rows
-    /// out over `drive_threads` scoped workers cannot change the result.
-    fn compute_drives(&self, impulses: &[usize], inhibited: &[bool], drives: &mut [f64]) {
-        let inputs = self.inputs;
-        let weights = &self.weight_cache;
-        let fill = |start: usize, chunk: &mut [f64]| {
-            for (k, d) in chunk.iter_mut().enumerate() {
-                let j = start + k;
-                if inhibited[j] {
-                    *d = 0.0;
-                    continue;
-                }
-                let row = &weights[j * inputs..(j + 1) * inputs];
-                let mut acc = 0.0;
-                for &i in impulses {
-                    acc += row[i];
-                }
-                *d = acc;
-            }
-        };
-        if self.drive_threads > 1 {
-            parallel::par_chunks_mut(drives, self.drive_threads, fill);
-        } else {
-            fill(0, drives);
-        }
     }
 
     /// STDP on a post spike by neuron `j` at `t_post`: potentiate
@@ -332,22 +296,6 @@ mod tests {
         for (e, &w) in after.iter().enumerate() {
             let truth = layer.synapses[e].weight();
             assert_eq!(w, truth, "cache stale at flat index {e}");
-        }
-    }
-
-    #[test]
-    fn parallel_drive_is_bit_identical() {
-        let patterns = orthogonal_patterns();
-        let run = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(21);
-            let mut layer = SpikingLayer::new(9, 3, &mut rng);
-            layer.drive_threads = threads;
-            let winners = layer.train_patterns(&patterns, 6);
-            (winners, layer.weights().to_vec())
-        };
-        let reference = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), reference, "threads = {threads}");
         }
     }
 

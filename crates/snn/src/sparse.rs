@@ -974,8 +974,7 @@ impl EventNet {
             fired = f;
             stats.add(s);
         } else {
-            // Contiguous ranges, first `rem` workers one item larger —
-            // the same split rule as linalg::parallel::par_chunks_mut.
+            // Contiguous ranges, first `rem` workers one item larger.
             let base = n / workers;
             let rem = n % workers;
             let mut views: Vec<RangeView<'_>> = Vec::with_capacity(workers);

@@ -12,6 +12,9 @@ Usage:
 before comparing (for probes that record their worker count in the
 payload). ``--bytes`` additionally requires the raw payload text to be
 byte-identical, not just equal after parsing.
+
+A ``NaN``, ``Infinity`` or ``-Infinity`` token anywhere in a report
+fails the check: Python's parser accepts them, but they are not JSON.
 """
 
 import argparse
@@ -26,6 +29,10 @@ def strip_threads(o):
     if isinstance(o, list):
         return [strip_threads(v) for v in o]
     return o
+
+
+def reject_constant(token):
+    raise ValueError(f"non-finite number {token} is not JSON")
 
 
 def raw_payload(text, path):
@@ -50,7 +57,7 @@ def main():
         raw = [raw_payload(t, p) for t, p in zip(texts, (args.a, args.b))]
         assert raw[0] == raw[1], (
             f"payload not byte-identical: {args.a} vs {args.b}")
-    a, b = (json.loads(t)["payload"] for t in texts)
+    a, b = (json.loads(t, parse_constant=reject_constant)["payload"] for t in texts)
     if args.strip_threads:
         a, b = strip_threads(a), strip_threads(b)
     assert a == b, f"payload depends on thread count: {args.a} vs {args.b}"
