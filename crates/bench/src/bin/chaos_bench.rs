@@ -16,6 +16,7 @@
 //! shape). `--profile` skips calibration for flamegraph runs.
 
 use neuropulsim_bench::runner::{positional_args, Runner};
+use neuropulsim_sim::json::{fixed, Json};
 use neuropulsim_sim::serve::chaos::{
     run_campaign_threads, standard_campaign, CampaignReport, CampaignSpec,
 };
@@ -40,10 +41,10 @@ fn main() {
     let scenarios = standard_campaign(spec);
     let mut runner = Runner::new("chaos_bench");
     let meta = [
-        ("requests", format!("{requests}")),
-        ("seed", format!("{seed}")),
-        ("pes", format!("{}", spec.pes)),
-        ("scenarios", format!("{}", scenarios.len())),
+        ("requests", requests.into()),
+        ("seed", seed.into()),
+        ("pes", spec.pes.into()),
+        ("scenarios", scenarios.len().into()),
     ];
 
     // Paired per-rep calibration: a campaign spans four full serving
@@ -58,10 +59,10 @@ fn main() {
     });
     let report = report.expect("campaign ran");
 
-    runner.derived("accepted", format!("{}", report.accepted()));
+    runner.derived("accepted", report.accepted());
     runner.derived(
         "min_fault_availability",
-        format!("{:.4}", report.min_fault_availability()),
+        fixed(report.min_fault_availability(), 4),
     );
     let worst_readmission = report
         .scenarios
@@ -69,7 +70,7 @@ fn main() {
         .map(|s| s.max_readmission_cycles)
         .max()
         .unwrap_or(0);
-    runner.derived("worst_readmission_cycles", format!("{worst_readmission}"));
-    runner.payload(report.to_json());
+    runner.derived("worst_readmission_cycles", worst_readmission);
+    runner.payload(Json::Raw(report.to_json()));
     print!("{}", runner.to_json());
 }

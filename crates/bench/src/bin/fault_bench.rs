@@ -19,6 +19,7 @@ use neuropulsim_linalg::RMatrix;
 use neuropulsim_sim::campaign::{CampaignConfig, Stratum};
 use neuropulsim_sim::fault::{Campaign, FaultKind, FaultTarget};
 use neuropulsim_sim::firmware::{accel_offload, DramLayout};
+use neuropulsim_sim::json::Json;
 use neuropulsim_sim::system::{System, SPM_BASE};
 
 fn main() {
@@ -121,9 +122,9 @@ fn main() {
         "fault_campaign/stratified",
         1,
         &[
-            ("injections", format!("{injections}")),
-            ("cadence", format!("{cadence}")),
-            ("seed", format!("{seed}")),
+            ("injections", injections.into()),
+            ("cadence", cadence.into()),
+            ("seed", seed.into()),
         ],
         || {
             report = Some(campaign.run_stratified(
@@ -135,6 +136,6 @@ fn main() {
             ));
         },
     );
-    runner.payload(report.expect("campaign ran").to_json());
+    runner.payload(Json::Raw(report.expect("campaign ran").to_json()));
     print!("{}", runner.to_json());
 }

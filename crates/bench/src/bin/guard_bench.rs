@@ -18,6 +18,7 @@ use neuropulsim_sim::campaign::{CampaignConfig, GuardComparison, Stratum};
 use neuropulsim_sim::fault::{Campaign, FaultKind, FaultTarget};
 use neuropulsim_sim::firmware::{accel_offload, accel_offload_guarded, DramLayout, GuardConfig};
 use neuropulsim_sim::guard::{read_guard_record, write_guard_operands};
+use neuropulsim_sim::json::Json;
 use neuropulsim_sim::system::{System, SPM_BASE};
 
 const N: usize = 8;
@@ -125,9 +126,9 @@ fn main() {
     );
     let mut runner = Runner::new("guard_bench");
     let campaign_meta = [
-        ("injections", format!("{injections}")),
-        ("cadence", format!("{cadence}")),
-        ("seed", format!("{seed}")),
+        ("injections", injections.into()),
+        ("cadence", cadence.into()),
+        ("seed", seed.into()),
     ];
     let mut baseline = None;
     runner.measure_with_meta("guard_campaign/baseline", 1, &campaign_meta, || {
@@ -178,6 +179,6 @@ fn main() {
     let guarded = guarded.expect("guarded campaign ran");
 
     let comparison = GuardComparison { baseline, guarded };
-    runner.payload(comparison.to_json());
+    runner.payload(Json::Raw(comparison.to_json()));
     print!("{}", runner.to_json());
 }

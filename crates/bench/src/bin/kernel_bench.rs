@@ -26,6 +26,7 @@ use neuropulsim_linalg::decomp::svd;
 use neuropulsim_linalg::random::{ginibre, haar_unitary};
 use neuropulsim_linalg::{CMatrix, CVector, MatmulScratch, RMatrix};
 use neuropulsim_photonics::pcm::PcmMaterial;
+use neuropulsim_sim::json::{fixed, sci_digits};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,8 +53,8 @@ fn report<F: FnMut()>(
         &id,
         REPS,
         &[
-            ("iters", format!("{iters}")),
-            ("macs_per_op", format!("{macs_per_op:.0}")),
+            ("iters", iters.into()),
+            ("macs_per_op", fixed(macs_per_op, 0)),
         ],
         || {
             for _ in 0..iters {
@@ -65,7 +66,7 @@ fn report<F: FnMut()>(
     // MACs/s from the median rep.
     let ns_per_op = median_ns / iters as f64;
     let macs_per_s = macs_per_op / (ns_per_op * 1e-9);
-    runner.derived(&format!("{id}:macs_per_s"), format!("{macs_per_s:.4e}"));
+    runner.derived(&format!("{id}:macs_per_s"), sci_digits(macs_per_s, 4));
 }
 
 /// Picks an iteration count inversely proportional to the work per op,

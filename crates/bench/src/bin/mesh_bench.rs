@@ -24,7 +24,7 @@ use neuropulsim_core::program::MeshScratch;
 use neuropulsim_linalg::parallel::available_threads;
 use neuropulsim_linalg::random::haar_unitary;
 use neuropulsim_linalg::C64;
-use neuropulsim_sim::json::{sci, Json, Layout};
+use neuropulsim_sim::json::{fixed, sci, Json, Layout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,8 +57,8 @@ fn report<F: FnMut()>(
         &id,
         REPS,
         &[
-            ("iters", format!("{iters}")),
-            ("macs_per_op", format!("{macs_per_op:.0}")),
+            ("iters", iters.into()),
+            ("macs_per_op", fixed(macs_per_op, 0)),
         ],
         || {
             for _ in 0..iters {
@@ -225,15 +225,12 @@ fn main() {
         bit_identical &= bench_layered_apply(&mut runner, n);
         runner.derived(
             &format!("mesh_apply/blocked_speedup_n{n}"),
-            format!("{blocked:.4}"),
+            fixed(blocked, 4),
         );
-        runner.derived(
-            &format!("mesh_apply/batch_speedup_n{n}"),
-            format!("{batch:.4}"),
-        );
+        runner.derived(&format!("mesh_apply/batch_speedup_n{n}"), fixed(batch, 4));
         runner.derived(
             &format!("mesh_apply/best_blocked_speedup_n{n}"),
-            format!("{:.4}", blocked.max(batch)),
+            fixed(blocked.max(batch), 4),
         );
     }
 
@@ -260,6 +257,6 @@ fn main() {
         .field("grid_trials", grid_trials)
         .field("grid", grid_json(&grid))
         .field("drift", drift_json(&drift));
-    runner.payload(payload.to_string());
+    runner.payload(payload);
     print!("{}", runner.to_json());
 }

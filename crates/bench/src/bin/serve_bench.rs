@@ -67,9 +67,9 @@ fn main() {
 
     let mut runner = Runner::new("serve_bench");
     let meta = [
-        ("requests", format!("{requests}")),
-        ("seed", format!("{seed}")),
-        ("model_n", format!("{N}")),
+        ("requests", requests.into()),
+        ("seed", seed.into()),
+        ("model_n", N.into()),
     ];
 
     let run_scenario = |runner: &mut Runner, id: &str, specs: &[PeSpec]| {
@@ -103,8 +103,8 @@ fn main() {
     );
 
     let scaling = four.report.requests_per_sec / one.report.requests_per_sec;
-    runner.derived("scaling_rps_1_to_4", format!("{scaling:.3}"));
-    runner.derived("degraded_dropped", format!("{}", degraded.report.dropped));
+    runner.derived("scaling_rps_1_to_4", fixed(scaling, 3));
+    runner.derived("degraded_dropped", degraded.report.dropped);
     let scenarios = Json::object(Layout::Compact)
         .field("pe1", Json::Raw(one.report.to_json()))
         .field("pe4", Json::Raw(four.report.to_json()))
@@ -115,6 +115,6 @@ fn main() {
         .field("model_n", N)
         .field("scaling_rps_1_to_4", fixed(scaling, 3))
         .field("scenarios", scenarios);
-    runner.payload(payload.to_string());
+    runner.payload(payload);
     print!("{}", runner.to_json());
 }

@@ -157,7 +157,7 @@ fn identical(a: &ModeRun, b: &ModeRun, words: usize) -> bool {
 fn time_runs(runner: &mut Runner, id: &str, reps: usize, workload: Workload, mode: Mode) -> f64 {
     let proto = build_system(workload, mode);
     let mut pool: Vec<System> = (0..reps).map(|_| proto.clone()).collect();
-    let meta = [("max_cycles", format!("{MAX_CYCLES}"))];
+    let meta = [("max_cycles", MAX_CYCLES.into())];
     runner.measure_with_meta(id, reps, &meta, || {
         let mut sys = pool.pop().expect("one system per rep");
         std::hint::black_box(sys.run(MAX_CYCLES));
@@ -261,17 +261,14 @@ fn main() {
         );
         let instructions = perf.instret as f64;
         let key = workload.name().replace('-', "_");
-        runner.derived(
-            &format!("{key}_speedup"),
-            format!("{:.2}", baseline_ns / fast_ns),
-        );
+        runner.derived(&format!("{key}_speedup"), fixed(baseline_ns / fast_ns, 2));
         runner.derived(
             &format!("{key}_baseline_instructions_per_sec"),
-            format!("{:.0}", instructions / (baseline_ns * 1e-9)),
+            fixed(instructions / (baseline_ns * 1e-9), 0),
         );
         runner.derived(
             &format!("{key}_fast_instructions_per_sec"),
-            format!("{:.0}", instructions / (fast_ns * 1e-9)),
+            fixed(instructions / (fast_ns * 1e-9), 0),
         );
         if workload == Workload::Software {
             // Block-only (traces off) isolates the trace compiler's
@@ -285,12 +282,12 @@ fn main() {
             );
             runner.derived(
                 &format!("{key}_trace_speedup_vs_block"),
-                format!("{:.2}", block_ns / fast_ns),
+                fixed(block_ns / fast_ns, 2),
             );
         }
         if workload == Workload::Offload {
             offload_ff_cycles = fast.sys.fast_forwarded_cycles;
-            runner.derived("speedup", format!("{:.2}", baseline_ns / fast_ns));
+            runner.derived("speedup", fixed(baseline_ns / fast_ns, 2));
         }
         workload_payloads.push(payload_for(workload.name(), &fast, &perf));
     }
@@ -300,7 +297,7 @@ fn main() {
         .field("bit_identical", all_identical)
         .field("fast_forwarded_cycles_per_run", offload_ff_cycles)
         .field("workloads", Json::array(Layout::Compact, workload_payloads));
-    runner.payload(payload.to_string());
+    runner.payload(payload);
     print!("{}", runner.to_json());
     if !all_identical {
         std::process::exit(1);

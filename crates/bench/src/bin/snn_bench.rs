@@ -99,7 +99,7 @@ fn check_identity(n: usize, k: usize) -> u64 {
 /// under `id`; each case picks `iters` so a repetition lasts 10 ms or more.
 fn time_calls<F: FnMut()>(runner: &mut Runner, id: &str, iters: usize, mut op: F) {
     op();
-    runner.measure_with_meta(id, REPS, &[("iters", format!("{iters}"))], || {
+    runner.measure_with_meta(id, REPS, &[("iters", iters.into())], || {
         for _ in 0..iters {
             op();
         }
@@ -153,7 +153,7 @@ fn bench_stdp(runner: &mut Runner, threads: usize) {
     runner.measure_with_meta(
         &format!("snn_tick/event_stdp/n{N}"),
         REPS,
-        &[("ticks", format!("{TICKS}")), ("injected", format!("{k}"))],
+        &[("ticks", TICKS.into()), ("injected", k.into())],
         || {
             for _ in 0..TICKS {
                 net.tick(&sched[cursor % sched.len()]);
@@ -164,7 +164,7 @@ fn bench_stdp(runner: &mut Runner, threads: usize) {
     let pulses = net.synapses().programming_pulses() - p0;
     runner.derived(
         &format!("stdp_pulses_per_tick/n{N}"),
-        format!("{:.1}", pulses as f64 / (net.tick_count() - t0) as f64),
+        fixed(pulses as f64 / (net.tick_count() - t0) as f64, 1),
     );
 }
 
@@ -200,7 +200,7 @@ fn main() {
         let ev_ns = runner.measure_with_meta(
             &format!("snn_tick/event/n{n}"),
             REPS,
-            &[("ticks", format!("{TICKS}")), ("injected", format!("{k}"))],
+            &[("ticks", TICKS.into()), ("injected", k.into())],
             || {
                 for _ in 0..TICKS {
                     ev.tick(&sched[ec % sched.len()]);
@@ -216,7 +216,7 @@ fn main() {
         let dn_ns = runner.measure_with_meta(
             &format!("snn_tick/dense/n{n}"),
             REPS,
-            &[("ticks", format!("{TICKS}")), ("injected", format!("{k}"))],
+            &[("ticks", TICKS.into()), ("injected", k.into())],
             || {
                 for _ in 0..TICKS {
                     dn.tick(&sched[dc % sched.len()]);
@@ -224,10 +224,7 @@ fn main() {
                 }
             },
         );
-        runner.derived(
-            &format!("speedup_vs_dense/n{n}"),
-            format!("{:.2}", dn_ns / ev_ns),
-        );
+        runner.derived(&format!("speedup_vs_dense/n{n}"), fixed(dn_ns / ev_ns, 2));
     }
 
     // ---- 2 + 3. million-neuron scale and the activity ladder --------
@@ -249,7 +246,7 @@ fn main() {
         let median_ns = runner.measure_with_meta(
             &format!("snn_tick/event/n{big_n}_{label}"),
             REPS,
-            &[("ticks", format!("{TICKS}")), ("injected", format!("{k}"))],
+            &[("ticks", TICKS.into()), ("injected", k.into())],
             || {
                 for _ in 0..TICKS {
                     net.tick(&sched[cursor % sched.len()]);
@@ -265,11 +262,11 @@ fn main() {
         tick_ns_by_activity.push(ns_per_tick);
         runner.derived(
             &format!("ticks_per_s/n{big_n}_{label}"),
-            format!("{:.1}", 1e9 / ns_per_tick),
+            fixed(1e9 / ns_per_tick, 1),
         );
         runner.derived(
             &format!("ns_per_event/n{big_n}_{label}"),
-            format!("{:.1}", ns_per_tick / events_per_tick.max(1.0)),
+            fixed(ns_per_tick / events_per_tick.max(1.0), 1),
         );
         ladder_payload.push(
             Json::object(Layout::Compact)
@@ -288,7 +285,7 @@ fn main() {
     // ratio.
     runner.derived(
         "scaling_tick_cost_ratio",
-        format!("{:.2}", tick_ns_by_activity[2] / tick_ns_by_activity[0]),
+        fixed(tick_ns_by_activity[2] / tick_ns_by_activity[0], 2),
     );
 
     let payload = Json::object(Layout::Compact)
@@ -298,7 +295,7 @@ fn main() {
         .field("matched_bit_identical", true)
         .field("matched", Json::array(Layout::Compact, matched_payload))
         .field("ladder", Json::array(Layout::Compact, ladder_payload));
-    runner.payload(payload.to_string());
+    runner.payload(payload);
     bench_substrate(&mut runner);
     bench_stdp(&mut runner, threads);
     print!("{}", runner.to_json());

@@ -45,9 +45,8 @@ pub struct Measurement {
     pub min_ns: f64,
     /// `median_ns / calib_ns` — the machine-normalized cost.
     pub norm: f64,
-    /// Extra per-measurement fields: `(key, raw JSON value)` pairs,
-    /// emitted verbatim inside `meta`.
-    pub meta: Vec<(String, String)>,
+    /// Extra per-measurement fields, emitted inside `meta`.
+    pub meta: Vec<(String, Json)>,
 }
 
 /// Collects measurements and renders the unified report.
@@ -58,7 +57,7 @@ pub struct Runner {
     threads: usize,
     profile: bool,
     measurements: Vec<Measurement>,
-    derived: Vec<(String, String)>,
+    derived: Vec<(String, Json)>,
     payload: Option<String>,
 }
 
@@ -163,7 +162,7 @@ impl Runner {
         &mut self,
         id: &str,
         reps: usize,
-        meta: &[(&str, String)],
+        meta: &[(&str, Json)],
         mut op: F,
     ) -> f64 {
         assert!(reps >= 1, "need at least one repetition");
@@ -205,13 +204,13 @@ impl Runner {
         self.measure_with_meta(id, reps, &[], op)
     }
 
-    /// [`Runner::measure`] with extra `(key, raw JSON value)` pairs
-    /// attached to the measurement.
+    /// [`Runner::measure`] with extra `(key, value)` pairs attached to
+    /// the measurement.
     pub fn measure_with_meta<F: FnMut()>(
         &mut self,
         id: &str,
         reps: usize,
-        meta: &[(&str, String)],
+        meta: &[(&str, Json)],
         mut op: F,
     ) -> f64 {
         assert!(reps >= 1, "need at least one repetition");
@@ -237,24 +236,26 @@ impl Runner {
         median_ns
     }
 
-    /// Adds a top-level derived metric (`key`, raw JSON value).
-    pub fn derived(&mut self, key: &str, raw_value: String) {
-        self.derived.push((key.to_string(), raw_value));
+    /// Adds a top-level derived metric.
+    pub fn derived(&mut self, key: &str, value: impl Into<Json>) {
+        self.derived.push((key.to_string(), value.into()));
     }
 
-    /// Sets the deterministic payload — a complete raw JSON value
-    /// (campaign report, identity flags); must not contain timings.
-    pub fn payload(&mut self, raw_json: String) {
-        self.payload = Some(raw_json);
+    /// Sets the deterministic payload (campaign report, identity
+    /// flags); must not contain timings. It is rendered on its own,
+    /// as a whole document would be, so its bytes do not depend on
+    /// where the envelope nests it.
+    pub fn payload(&mut self, value: impl Into<Json>) {
+        self.payload = Some(value.into().to_string());
     }
 
     /// Renders the `neuropulsim-bench/v1` report, `payload` last.
     pub fn to_json(&self) -> String {
-        let raw_fields = |pairs: &[(String, String)]| {
+        let fields = |pairs: &[(String, Json)]| {
             pairs
                 .iter()
                 .fold(Json::object(Layout::Compact), |o, (k, v)| {
-                    o.field(k, Json::Raw(v.clone()))
+                    o.field(k, v.clone())
                 })
         };
         let measurements = self.measurements.iter().map(|m| {
@@ -267,7 +268,7 @@ impl Runner {
             if m.meta.is_empty() {
                 o
             } else {
-                o.field("meta", raw_fields(&m.meta))
+                o.field("meta", fields(&m.meta))
             }
         });
         let mut report = Json::object(Layout::Pretty)
@@ -280,7 +281,7 @@ impl Runner {
         }
         let report = report
             .field("measurements", Json::array(Layout::Pretty, measurements))
-            .field("derived", raw_fields(&self.derived))
+            .field("derived", fields(&self.derived))
             .field(
                 "payload",
                 Json::Raw(self.payload.clone().unwrap_or_else(|| "null".to_string())),
@@ -303,12 +304,12 @@ mod tests {
     fn report_shape_is_valid_schema() {
         let mut r = Runner::new("unit_test");
         assert!(r.calib_ns() > 0.0);
-        let m = r.measure_with_meta("op/a/n1", 3, &[("items", "7".to_string())], || {
+        let m = r.measure_with_meta("op/a/n1", 3, &[("items", 7u64.into())], || {
             std::hint::black_box(1 + 1);
         });
         assert!(m >= 0.0);
-        r.derived("speedup", "2.5".to_string());
-        r.payload("{\"ok\": true}".to_string());
+        r.derived("speedup", fixed(2.5, 1));
+        r.payload(Json::object(Layout::Compact).field("ok", true));
         let json = r.to_json();
         assert!(json.contains("\"schema\": \"neuropulsim-bench/v1\""));
         assert!(json.contains("\"id\": \"op/a/n1\""));

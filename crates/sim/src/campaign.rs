@@ -838,6 +838,39 @@ mod tests {
     }
 
     #[test]
+    fn report_json_is_well_formed() {
+        let c = workload();
+        let cfg = CampaignConfig {
+            cadence: 128,
+            threads: 1,
+            injections: 9,
+            batch: 4,
+            ..CampaignConfig::default()
+        };
+        let report = c.run_stratified("mvm-n3", 5, FaultKind::Transient, &strata(), &cfg);
+        let json = report.to_json();
+        for key in [
+            "\"workload\": \"mvm-n3\"",
+            "\"fault_kind\": \"transient\"",
+            "\"checkpoint_cadence\": 128",
+            "\"cycles_saved\"",
+            "\"replay_savings\"",
+            "\"vulnerability\"",
+            "\"detected_recovered\"",
+            "\"detected_uncorrected\"",
+            "\"strata\"",
+            "\"dram-weights\"",
+        ] {
+            assert!(json.contains(key), "missing {key} in {json}");
+        }
+        assert_eq!(
+            json.matches('{').count(),
+            json.matches('}').count(),
+            "balanced braces"
+        );
+    }
+
+    #[test]
     fn report_json_bytes_are_locked() {
         // Top level one member per line, nested objects on one line.
         let expected = r#"{

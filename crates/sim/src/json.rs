@@ -2,7 +2,8 @@
 //! is offline and std-only, so there is no serde: a report is a small
 //! [`Json`] tree rendered once. Every key and string is quoted and
 //! escaped, and each number is formatted at the precision its caller
-//! names ([`fixed`] for `{:.N}`, [`sci`] for `{:e}`, integers in full).
+//! names ([`fixed`] for `{:.N}`, [`sci`] for `{:e}`, [`sci_digits`] for
+//! `{:.Ne}`, integers in full).
 //!
 //! ```
 //! use neuropulsim_sim::json::{fixed, Json, Layout};
@@ -109,6 +110,12 @@ pub fn sci(x: f64) -> Json {
     Json::Raw(format!("{x:e}"))
 }
 
+/// `x` in scientific notation with `decimals` mantissa digits after the
+/// point (`{:.Ne}`).
+pub fn sci_digits(x: f64, decimals: usize) -> Json {
+    Json::Raw(format!("{x:.decimals$e}"))
+}
+
 impl From<&str> for Json {
     fn from(s: &str) -> Self {
         Json::Raw(quote(s))
@@ -175,6 +182,7 @@ mod tests {
         assert_eq!(fixed(1234.6, 0).to_string(), "1235");
         assert_eq!(sci(1e-12).to_string(), "1e-12");
         assert_eq!(sci(0.0).to_string(), "0e0");
+        assert_eq!(sci_digits(123_456.0, 4).to_string(), "1.2346e5");
         assert_eq!(Json::from(u64::MAX).to_string(), "18446744073709551615");
         assert_eq!(Json::from(false).to_string(), "false");
     }

@@ -401,25 +401,27 @@ impl System {
     ///
     /// Returns an [`ElfError`] if the image is malformed, a segment
     /// does not fit in DRAM, or the segments together are larger than
-    /// DRAM (so loading writes at most `DRAM_SIZE` bytes).
+    /// DRAM (so loading writes at most `DRAM_SIZE` bytes). A rejected
+    /// image writes nothing.
     pub fn load_elf(&mut self, bytes: &[u8]) -> Result<ElfImage, ElfError> {
         let image = parse_elf32(bytes)?;
         let dram_end = DRAM_BASE + DRAM_SIZE as u32;
-        let mut total = 0usize;
+        // Check every segment before writing any, so a rejected image
+        // leaves DRAM untouched.
+        let mut total = 0u64;
         for seg in &image.segments {
             let size = seg.memsz.max(seg.data.len() as u32);
-            total += size as usize;
+            total += u64::from(size);
             // DRAM starts at address 0, so only the upper bound can fail.
-            let fits = seg
-                .vaddr
-                .checked_add(size)
-                .is_some_and(|end| end <= dram_end);
-            if !fits || total > DRAM_SIZE {
+            let fits = u64::from(seg.vaddr) + u64::from(size) <= u64::from(dram_end);
+            if !fits || total > DRAM_SIZE as u64 {
                 return Err(ElfError::SegmentOutOfRange {
                     vaddr: seg.vaddr,
                     memsz: size,
                 });
             }
+        }
+        for seg in &image.segments {
             for (k, &b) in seg.data.iter().enumerate() {
                 poke_byte(&mut self.platform.dram, seg.vaddr + k as u32, b);
             }
@@ -895,6 +897,10 @@ mod tests {
             sys.load_elf(&elf),
             Err(ElfError::SegmentOutOfRange { .. })
         ));
+        // A valid segment ahead of a bad one is not written either.
+        let elf = write_elf32(0, &[(0x100, &[0xab; 4]), (0x4000_0000, &[0u8; 8])]);
+        assert!(sys.load_elf(&elf).is_err());
+        assert_eq!(peek_byte(&sys.platform.dram, 0x100), Some(0));
     }
 
     #[test]
